@@ -13,6 +13,7 @@ Exercises the redundancy machinery end to end on the real byte store:
 
 import random
 
+from repro.analysis import scrub_array
 from repro.lfs import LogStructuredFS
 from repro.server import Raid2Config, Raid2Server
 from repro.sim import Simulator
@@ -57,7 +58,8 @@ def main() -> None:
     sim.run_process(server.raid.rebuild(5, max_rows=64))
     print(f"\nrebuilt replacement disk from peers in "
           f"{sim.now - start:.2f} s simulated")
-    assert server.raid.verify_parity(max_rows=64)
+    report = scrub_array(server.raid, max_rows=64)
+    assert report.ok and report.rows_checked == 64
     print("parity verified across rebuilt rows")
 
     expected = bytearray(dataset)

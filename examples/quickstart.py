@@ -9,6 +9,7 @@ and reports the simulated time and bandwidth of each step.
 
 import random
 
+from repro.analysis import scrub_array
 from repro.server import Raid2Config, Raid2Server
 from repro.sim import Simulator
 from repro.units import MB, MIB
@@ -50,7 +51,8 @@ def main() -> None:
     assert data == payload, "read-back mismatch!"
     print("read-back verified byte-for-byte")
 
-    assert server.raid.verify_parity(max_rows=16)
+    report = scrub_array(server.raid, max_rows=16)
+    assert report.ok and report.rows_checked == 16
     print("RAID-5 parity verified across the written rows")
 
     stats = server.fs.statfs()

@@ -8,9 +8,11 @@ module brings that operation to the simulated arrays:
 * :func:`scrub_array` — the *instant* form (``peek``-based, no
   simulated time): walks every row of a mounted controller, recomputes
   the XOR (RAID 5/3) or compares the mirror copies (RAID 1), and
-  reports mismatched rows.  Rows with a failed disk are counted as
-  *degraded* and skipped — in degraded mode the redundancy IS the data,
-  so there is nothing independent left to compare.
+  reports mismatched rows.  Rows with an unavailable disk (failed, or
+  a replacement whose rebuild frontier has not reached the row) are
+  counted as *degraded* and skipped — in degraded mode the redundancy
+  IS the data, so there is nothing independent left to compare.  This
+  is the one parity check of the code base.
 * :func:`scrub_process` — the timed form: a simulation process doing
   the same walk through the disk paths, usable inside experiments as a
   background scrubber.
@@ -94,7 +96,7 @@ def _scrub_parity(controller, layout, max_rows: Optional[int],
         data_disks, parity_disk = _row_members(layout, row)
         lba = layout.row_lba(row)
         involved = data_disks + [parity_disk]
-        if any(controller.paths[d].disk.failed for d in involved):
+        if any(controller.unavailable(d, row) for d in involved):
             report.degraded_rows.append(row)
             continue
         report.rows_checked += 1
@@ -120,8 +122,8 @@ def _scrub_mirror(controller, layout: Raid1Layout, max_rows: Optional[int],
         row_degraded = False
         for primary in range(layout.data_units_per_row):
             mirror = layout.mirror_of(primary)
-            if controller.paths[primary].disk.failed \
-                    or controller.paths[mirror].disk.failed:
+            if controller.unavailable(primary, row) \
+                    or controller.unavailable(mirror, row):
                 row_degraded = True
                 continue
             first = controller.paths[primary].disk.peek(lba, nsectors)
@@ -160,7 +162,7 @@ def scrub_process(controller, max_rows: Optional[int] = None):
         data_disks, parity_disk = _row_members(layout, row)
         lba = layout.row_lba(row)
         involved = data_disks + [parity_disk]
-        if any(controller.paths[d].disk.failed for d in involved):
+        if any(controller.unavailable(d, row) for d in involved):
             report.degraded_rows.append(row)
             continue
         try:

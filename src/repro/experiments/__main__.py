@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import (ablations, degraded_mode, fig5_degraded,
-                               fig5_hw_throughput, fig6_hippi_loopback,
-                               fig7_string_scaling, fig8_lfs_throughput,
-                               network_clients, raid1_baseline,
-                               rebuild_under_load, recovery_time,
-                               table1_peak_sequential, table2_small_io,
-                               vme_ports, zebra_scaling)
+from repro.experiments import (ablations, fig5_degraded, fig5_hw_throughput,
+                               fig6_hippi_loopback, fig7_string_scaling,
+                               fig8_lfs_throughput, network_clients,
+                               raid1_baseline, rebuild_under_load,
+                               recovery_time, table1_peak_sequential,
+                               table2_small_io, vme_ports, zebra_scaling)
 from repro.obs import (chrome_trace_json, observe, render_layer_breakdown,
                        render_metrics_snapshot)
 
@@ -41,7 +40,6 @@ REGISTRY = {
     "vme-ports": vme_ports.run,
     "netclient": network_clients.run,
     "recovery-time": recovery_time.run,
-    "degraded-mode": degraded_mode.run,
     "fig5-degraded": fig5_degraded.run,
     "rebuild-under-load": rebuild_under_load.run,
     "zebra": zebra_scaling.run,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+from repro.analysis.scrub_raid import scrub_array
 from repro.experiments.base import ExperimentResult, Series
 from repro.faults import DiskDeath, FaultPlan, attach_server
 from repro.server import Raid2Config, Raid2Server
@@ -80,7 +81,8 @@ def run(quick: bool = False) -> ExperimentResult:
     raid = last_server.raid
     raid.paths[VICTIM].disk.repair()
     last_server.sim.run_process(raid.rebuild(VICTIM, max_rows=rebuild_rows))
-    parity_clean = raid.verify_parity(max_rows=rebuild_rows)
+    scrub = scrub_array(raid, max_rows=rebuild_rows)
+    parity_clean = scrub.ok and scrub.rows_checked == rebuild_rows
 
     last = sizes[-1]
     return ExperimentResult(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+from repro.analysis.scrub_raid import scrub_array
 from repro.experiments.base import ExperimentResult
 from repro.hw.specs import IBM_0661
 from repro.server import Raid2Config, Raid2Server
@@ -67,7 +68,8 @@ def run(quick: bool = False) -> ExperimentResult:
     assert rebuild_proc.processed
     loaded_elapsed = sim.now - start
 
-    parity_clean = raid.verify_parity(max_rows=rebuild_rows)
+    scrub = scrub_array(raid, max_rows=rebuild_rows)
+    parity_clean = scrub.ok and scrub.rows_checked == rebuild_rows
     idle_rate = rebuilt_bytes / MB / idle_elapsed
     loaded_rate = rebuilt_bytes / MB / loaded_elapsed
     return ExperimentResult(

@@ -14,7 +14,7 @@ single-disk failure is recoverable byte-for-byte.
 
 from repro.raid.controller import (InstantParity, Raid0Controller,
                                    Raid1Controller, Raid3Controller,
-                                   Raid5Controller, SoftwareParity)
+                                   Raid5Controller)
 from repro.raid.layout import (Piece, Raid0Layout, Raid1Layout, Raid3Layout,
                                Raid5Layout)
 from repro.raid.paths import DirectDiskPath
@@ -31,5 +31,4 @@ __all__ = [
     "Raid3Layout",
     "Raid5Controller",
     "Raid5Layout",
-    "SoftwareParity",
 ]

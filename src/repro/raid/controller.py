@@ -4,24 +4,41 @@ The controllers drive disk paths (see :mod:`repro.raid.paths`) and
 implement the real algorithms:
 
 * **RAID 0** — striping only.
-* **RAID 1** — mirrored striping; reads alternate between copies.
+* **RAID 1** — mirrored striping; reads alternate between copies and
+  fall back to the other copy.
 * **RAID 5** — rotated parity with the classic write paths: a write
   covering a full row is a *full-stripe write* (parity computed over
   the new data, no old data read — the efficient large write the
   paper's Section 3.1 relies on); anything smaller is a
   *read-modify-write* costing the notorious four accesses (read old
-  data + old parity, write new data + new parity).  Degraded reads and
-  writes reconstruct through parity, and a failed disk can be rebuilt
-  byte-for-byte.
+  data + old parity, write new data + new parity), or a
+  *reconstruct-write* when it covers more than half the row.  Degraded
+  reads and writes reconstruct through parity.
 * **RAID 3** — sector-interleaved with a dedicated parity disk; every
   access engages all data disks and the whole array is locked per
   operation, reproducing Level 3's one-I/O-at-a-time behaviour that
   Section 4.2 contrasts with RAID-II's Level 5.
 
+The redundant levels share one copy of each piece of failure handling,
+kept on :class:`_BaseController`:
+
+* **one retry loop** (:meth:`_BaseController._retrying`) under every
+  unit read and write; each level adds only its fallback (the mirror,
+  reconstruction, or heal-by-rewrite);
+* **one trust predicate** (:meth:`_BaseController.unavailable`): a
+  disk's copy of a row is unavailable when the disk failed or the row
+  lies at or past the disk's rebuild frontier;
+* **one rebuild engine** (:meth:`_BaseController.rebuild`): it walks a
+  replaced disk from row 0, advancing a frontier behind which the disk
+  is trusted again.  Each level supplies its reconstruct step (XOR of
+  the row's survivors for RAID 5, a copy from the mirror for RAID 1,
+  XOR of the other disks over 128-row chunks for RAID 3) and the lock
+  the step holds (the row lock, or RAID 3's array lock).
+
 Parity arithmetic is performed by a pluggable *parity computer* so the
-same controller code can use the XBUS board's timed parity engine, a
-host-software XOR (charged to the host memory system), or an instant
-XOR for functional tests.
+same controller code can use the XBUS board's timed parity engine or
+an instant XOR for functional tests.  Redundancy is checked by
+:func:`repro.analysis.scrub_raid.scrub_array`.
 """
 
 from __future__ import annotations
@@ -48,25 +65,21 @@ class InstantParity:
         yield  # pragma: no cover - makes this a generator
 
 
-class SoftwareParity:
-    """XOR performed by host software across a memory channel.
-
-    Used by hosts without a parity engine (the RAID-I prototype): the
-    traffic (inputs plus result) crosses the given bandwidth channel.
-    """
-
-    def __init__(self, channel):
-        self.channel = channel
-
-    def compute(self, blocks: Sequence[bytes]):
-        parity = xor_blocks(blocks)
-        traffic = sum(len(block) for block in blocks) + len(parity)
-        yield from self.channel.transfer(traffic)
-        return parity
+def _counter_view(attr: str) -> property:
+    """A read-only attribute over the registry counter held in ``attr``."""
+    return property(lambda self: getattr(self, attr).value)
 
 
 class _BaseController:
     """Mapping, assembly and shared plumbing for all RAID levels."""
+
+    #: Rows one rebuild step reconstructs under one hold of its lock.
+    _rebuild_chunk_rows = 1
+
+    degraded_reads = _counter_view("_m_degraded_reads")
+    degraded_writes = _counter_view("_m_degraded_writes")
+    media_error_heals = _counter_view("_m_media_error_heals")
+    transient_retries = _counter_view("_m_transient_retries")
 
     def __init__(self, sim: Simulator, paths: Sequence, layout: _StripedLayout,
                  name: str = "raid",
@@ -80,10 +93,11 @@ class _BaseController:
         self.name = name
         #: Transient-error retry policy (None disables retries).
         self.retry = retry
-        self.degraded_reads = 0
-        self.degraded_writes = 0
-        self.media_error_heals = 0
-        self.transient_retries = 0
+        self._row_locks: dict[int, Resource] = {}
+        #: disk index -> first row NOT yet rebuilt.  A replaced disk is
+        #: blank, not failed: rows at or past its frontier are treated
+        #: as unavailable and served through redundancy instead.
+        self._rebuild_frontier: dict[int, int] = {}
         metrics = sim.metrics
         self._m_degraded_reads = metrics.counter(name, "degraded_reads")
         self._m_degraded_writes = metrics.counter(name, "degraded_writes")
@@ -100,6 +114,22 @@ class _BaseController:
     @property
     def stripe_unit_bytes(self) -> int:
         return self.layout.stripe_unit_bytes
+
+    def unavailable(self, disk: int, row: int) -> bool:
+        """True when ``disk``'s copy of ``row`` cannot be trusted: the
+        disk failed, or it is a replacement whose rebuild has not
+        reached that row."""
+        if self.paths[disk].disk.failed:
+            return True
+        frontier = self._rebuild_frontier.get(disk)
+        return frontier is not None and row >= frontier
+
+    def _row_lock(self, row: int) -> Resource:
+        lock = self._row_locks.get(row)
+        if lock is None:
+            lock = Resource(self.sim, capacity=1, name=f"{self.name}.row{row}")
+            self._row_locks[row] = lock
+        return lock
 
     # ------------------------------------------------------------------
     # timed reads (common shape; degraded handling per level)
@@ -134,30 +164,68 @@ class _BaseController:
         yield  # pragma: no cover
 
     # ------------------------------------------------------------------
+    # timed writes: one process per row, each under its row lock
+    # ------------------------------------------------------------------
+    def write(self, offset: int, data: bytes):
+        """Process: write a logical range, row by row."""
+        with self.sim.tracer.span("raid.write", self.name,
+                                  nbytes=len(data), offset=offset):
+            pieces = self.layout.map_data(offset, len(data))
+            data = memoryview(data)  # sliced (never copied) on the way down
+            by_row: dict[int, list[Piece]] = {}
+            for piece in pieces:
+                by_row.setdefault(piece.row, []).append(piece)
+            procs = [
+                self.sim.process(
+                    self._write_row(row, row_pieces, offset, data),
+                    name=f"{self.name}.row{row}.write")
+                for row, row_pieces in by_row.items()
+            ]
+            yield self.sim.all_of(procs)
+            return None
+
+    def _write_row(self, row: int, pieces: list[Piece], offset: int,
+                   data: memoryview):
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    @staticmethod
+    def _payload_of(piece: Piece, offset: int,
+                    data: memoryview) -> memoryview:
+        start = piece.logical_offset - offset
+        return data[start:start + piece.nbytes]
+
+    # ------------------------------------------------------------------
     # retried unit I/O (shared by the redundant levels)
     # ------------------------------------------------------------------
-    def _read_unit(self, disk: int, lba: int, nsectors: int):
-        """Process: one unit read, retrying transient errors.
+    def _retrying(self, io, *args):
+        """Process: run ``io(*args)``, retrying transient errors.
 
-        Hard errors (``DiskFailedError``, ``MediumError``) propagate to
-        the caller, which routes them through redundancy.
+        The one retry loop of the controllers: each attempt is a fresh
+        ``io`` generator, spaced by the policy's backoff.  The last
+        ``TransientDiskError`` propagates, as do hard errors
+        (``DiskFailedError``, ``MediumError``) at once, for the caller
+        to route through redundancy.
         """
         policy = self.retry
-        if policy is None:
-            data = yield from self.paths[disk].read(lba, nsectors)
-            return data
-        backoff = policy.backoff_s
-        for attempt in range(1, policy.max_attempts + 1):
+        attempts = policy.max_attempts if policy is not None else 1
+        backoff = policy.backoff_s if policy is not None else 0.0
+        for attempt in range(1, attempts + 1):
             try:
-                data = yield from self.paths[disk].read(lba, nsectors)
-                return data
+                result = yield from io(*args)
+                return result
             except TransientDiskError:
-                self.transient_retries += 1
                 self._m_transient_retries.inc()
-                if attempt == policy.max_attempts:
+                if attempt == attempts:
                     raise
             yield self.sim.timeout(backoff)
             backoff *= policy.backoff_factor
+
+    def _read_unit(self, disk: int, lba: int, nsectors: int):
+        """Process: one unit read, retrying transient errors."""
+        data = yield from self._retrying(self.paths[disk].read, lba,
+                                         nsectors)
+        return data
 
     def _data_write(self, disk: int, lba: int, payload,
                     tolerate_failure: bool = True):
@@ -169,26 +237,80 @@ class _BaseController:
         Rebuild writes pass ``False``: losing the replacement must
         abort the rebuild, not silently complete it.
         """
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        backoff = policy.backoff_s if policy is not None else 0.0
-        for attempt in range(1, attempts + 1):
-            try:
-                yield from self.paths[disk].write(lba, payload)
-                return None
-            except DiskFailedError:
-                if not tolerate_failure:
-                    raise
-                self.degraded_writes += 1
-                self._m_degraded_writes.inc()
-                return None
-            except TransientDiskError:
-                self.transient_retries += 1
-                self._m_transient_retries.inc()
-                if attempt == attempts:
-                    raise
-            yield self.sim.timeout(backoff)
-            backoff *= policy.backoff_factor
+        try:
+            yield from self._retrying(self.paths[disk].write, lba, payload)
+        except DiskFailedError:
+            if not tolerate_failure:
+                raise
+            self._m_degraded_writes.inc()
+        return None
+
+    def _heal(self, disk: int, lba: int, data):
+        """Process: best-effort rewrite of an extent that surfaced a
+        medium error — the drive remaps the bad sectors on write, so
+        subsequent reads go direct."""
+        if self.paths[disk].disk.failed:
+            return None
+        try:
+            yield from self.paths[disk].write(lba, data)
+            self._m_media_error_heals.inc()
+        except (DiskFailedError, TransientDiskError):
+            pass
+        return None
+
+    # ------------------------------------------------------------------
+    # rebuild
+    # ------------------------------------------------------------------
+    def rebuild(self, disk_index: int, max_rows: Optional[int] = None):
+        """Process: reconstruct a replaced disk from redundancy.
+
+        The walk starts at row 0 and advances a *frontier*: rows at or
+        past it are :meth:`unavailable` on the replacement, so reads
+        and writes keep going through redundancy until the rebuild has
+        passed them.  Each step rebuilds ``_rebuild_chunk_rows`` rows
+        under the level's rebuild lock, so concurrent writes serialize
+        cleanly with it.
+
+        ``max_rows`` bounds the walk.  A bounded walk leaves the
+        frontier where it stopped — the rest of the disk stays
+        degraded — and only a walk that reaches the last row drops it.
+        """
+        rows = self.layout.rows if max_rows is None else min(
+            self.layout.rows, max_rows)
+        self._rebuild_frontier[disk_index] = 0
+        with self.sim.tracer.span("raid.rebuild", self.name,
+                                  disk=disk_index, rows=rows):
+            row = 0
+            while row < rows:
+                nrows = min(self._rebuild_chunk_rows, rows - row)
+                lock = self._rebuild_lock(row)
+                yield lock.acquire()
+                try:
+                    data = yield from self._reconstruct_rows(disk_index, row,
+                                                             nrows)
+                    yield from self._data_write(
+                        disk_index, self.layout.row_lba(row), data,
+                        tolerate_failure=False)
+                    self._rebuild_frontier[disk_index] = row + nrows
+                    self._m_rebuilt_rows.inc(nrows)
+                finally:
+                    lock.release()
+                row += nrows
+        if rows == self.layout.rows:
+            del self._rebuild_frontier[disk_index]
+        return None
+
+    def _rebuild_lock(self, row: int) -> Resource:
+        """The lock one rebuild step starting at ``row`` holds."""
+        return self._row_lock(row)
+
+    def _reconstruct_rows(self, disk: int, row: int, nrows: int):
+        """Process: ``disk``'s units over rows ``[row, row + nrows)``,
+        recomputed from the other disks (the level's rebuild step)."""
+        raise UnrecoverableArrayError(
+            f"{self.name}: this level has no redundancy to rebuild "
+            f"disk {disk} from")
+        yield  # pragma: no cover
 
     # ------------------------------------------------------------------
     # instantaneous verification helpers
@@ -210,7 +332,8 @@ class Raid0Controller(_BaseController):
         super().__init__(sim, paths, layout, name)
 
     def write(self, offset: int, data: bytes):
-        """Process: write a logical range."""
+        """Process: write a logical range (no row locks: nothing to
+        keep consistent across disks)."""
         with self.sim.tracer.span("raid.write", self.name,
                                   nbytes=len(data), offset=offset):
             pieces = self.layout.map_data(offset, len(data))
@@ -237,10 +360,11 @@ class Raid1Controller(_BaseController):
         self._layout1 = layout
         self._toggle = 0
 
-    def _pick_copy(self, primary: int) -> int:
+    def _pick_copy(self, piece: Piece) -> int:
+        primary = piece.disk
         mirror = self._layout1.mirror_of(primary)
-        primary_ok = not self.paths[primary].disk.failed
-        mirror_ok = not self.paths[mirror].disk.failed
+        primary_ok = not self.unavailable(primary, piece.row)
+        mirror_ok = not self.unavailable(mirror, piece.row)
         if primary_ok and mirror_ok:
             self._toggle ^= 1
             return primary if self._toggle else mirror
@@ -252,99 +376,68 @@ class Raid1Controller(_BaseController):
             f"{self.name}: both copies of disk {primary} failed")
 
     def _read_piece(self, piece: Piece):
-        disk = self._pick_copy(piece.disk)
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        backoff = policy.backoff_s if policy is not None else 0.0
-        for attempt in range(1, attempts + 1):
-            try:
-                data = yield from self.paths[disk].read(piece.lba,
-                                                        piece.nsectors)
-                return data
-            except DiskFailedError:
-                data = yield from self._fallback_read(piece, disk)
-                return data
-            except MediumError:
-                data = yield from self._fallback_read(piece, disk,
-                                                      heal=True)
-                return data
-            except TransientDiskError:
-                self.transient_retries += 1
-                self._m_transient_retries.inc()
-                if attempt == attempts:
-                    data = yield from self._fallback_read(piece, disk)
-                    return data
-            yield self.sim.timeout(backoff)
-            backoff *= policy.backoff_factor
+        disk = self._pick_copy(piece)
+        try:
+            data = yield from self._read_unit(disk, piece.lba, piece.nsectors)
+        except (DiskFailedError, TransientDiskError):
+            data = yield from self._fallback_read(piece, disk)
+        except MediumError:
+            data = yield from self._fallback_read(piece, disk, heal=True)
+        return data
 
     def _fallback_read(self, piece: Piece, bad_disk: int,
                        heal: bool = False):
-        """Process: serve a piece from the other copy; heal on the way.
-
-        ``heal`` rewrites the bad copy's extent with the good bytes
-        (best-effort) after a medium error — the drive remaps the bad
-        sectors on write.
-        """
-        self.degraded_reads += 1
+        """Process: serve a piece from the other copy; ``heal``
+        rewrites the bad copy's extent after a medium error."""
         self._m_degraded_reads.inc()
         other = self._layout1.mirror_of(bad_disk)
-        if self.paths[other].disk.failed:
+        if self.unavailable(other, piece.row):
             raise UnrecoverableArrayError(
                 f"{self.name}: both copies of disk {piece.disk} failed")
         data = yield from self._read_unit(other, piece.lba, piece.nsectors)
-        if heal and not self.paths[bad_disk].disk.failed:
-            try:
-                yield from self.paths[bad_disk].write(piece.lba, data)
-                self.media_error_heals += 1
-                self._m_media_error_heals.inc()
-            except (DiskFailedError, TransientDiskError):
-                pass
+        if heal:
+            yield from self._heal(bad_disk, piece.lba, data)
         return data
 
-    def write(self, offset: int, data: bytes):
-        """Process: write both copies of every piece in parallel."""
-        with self.sim.tracer.span("raid.write", self.name,
-                                  nbytes=len(data), offset=offset):
-            pieces = self.layout.map_data(offset, len(data))
-            view = memoryview(data)  # pieces are views; disks copy at poke
-            procs = []
-            for piece in pieces:
-                start = piece.logical_offset - offset
-                payload = view[start:start + piece.nbytes]
-                for disk in (piece.disk,
-                             self._layout1.mirror_of(piece.disk)):
-                    if self.paths[disk].disk.failed:
-                        continue
-                    procs.append(self.sim.process(
-                        self._data_write(disk, piece.lba, payload)))
+    def _write_row(self, row: int, pieces: list[Piece], offset: int,
+                   data: memoryview):
+        """Process: write both copies of a row's pieces under the row
+        lock, so a rebuild copying the row never sees half a write."""
+        lock = self._row_lock(row)
+        yield lock.acquire()
+        try:
+            procs = [
+                self.sim.process(self._data_write(
+                    disk, piece.lba, self._payload_of(piece, offset, data)))
+                for piece in pieces
+                for disk in (piece.disk, self._layout1.mirror_of(piece.disk))
+                if not self.paths[disk].disk.failed
+            ]
             if not procs:
                 raise UnrecoverableArrayError(
                     f"{self.name}: no surviving copy to write")
             yield self.sim.all_of(procs)
-            return None
+        finally:
+            lock.release()
+        return None
 
-    def rebuild(self, disk_index: int, max_rows: Optional[int] = None):
-        """Process: copy a replacement disk's contents from its mirror."""
-        source = self._layout1.mirror_of(disk_index)
-        if self.paths[source].disk.failed:
+    def _reconstruct_rows(self, disk: int, row: int, nrows: int):
+        """Process: copy ``disk``'s rows from its mirror."""
+        source = self._layout1.mirror_of(disk)
+        if self.unavailable(source, row + nrows - 1):
             raise UnrecoverableArrayError(
-                f"{self.name}: mirror of disk {disk_index} also failed")
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        with self.sim.tracer.span("raid.rebuild", self.name,
-                                  disk=disk_index, rows=rows):
-            for row in range(rows):
-                lba = self.layout.row_lba(row)
-                data = yield from self._read_unit(
-                    source, lba, self.layout.unit_sectors)
-                yield from self._data_write(disk_index, lba, data,
-                                            tolerate_failure=False)
-                self._m_rebuilt_rows.inc()
-            return None
+                f"{self.name}: mirror of disk {disk} also failed")
+        data = yield from self._read_unit(source, self.layout.row_lba(row),
+                                          nrows * self.layout.unit_sectors)
+        return data
 
 
 class Raid5Controller(_BaseController):
     """Left-symmetric RAID 5 over one parity group."""
+
+    full_stripe_writes = _counter_view("_m_full_stripe_writes")
+    rmw_writes = _counter_view("_m_rmw_writes")
+    reconstruct_writes = _counter_view("_m_reconstruct_writes")
 
     def __init__(self, sim: Simulator, paths: Sequence,
                  stripe_unit_bytes: int, parity_computer=None,
@@ -356,24 +449,14 @@ class Raid5Controller(_BaseController):
         self._layout5 = layout
         self.parity = parity_computer if parity_computer is not None \
             else InstantParity()
-        self._row_locks: dict[int, Resource] = {}
-        #: disk index -> first row NOT yet rebuilt.  While a replaced
-        #: disk is rebuilding, rows at or past the frontier are treated
-        #: as unavailable (their on-disk contents are blank) and served
-        #: through reconstruction instead.
-        self._rebuild_frontier: dict[int, int] = {}
-        self.full_stripe_writes = 0
-        self.rmw_writes = 0
-        self.reconstruct_writes = 0
+        metrics = sim.metrics
+        self._m_full_stripe_writes = metrics.counter(name,
+                                                     "full_stripe_writes")
+        self._m_rmw_writes = metrics.counter(name, "rmw_writes")
+        self._m_reconstruct_writes = metrics.counter(name,
+                                                     "reconstruct_writes")
 
     # ------------------------------------------------------------------
-    def _row_lock(self, row: int) -> Resource:
-        lock = self._row_locks.get(row)
-        if lock is None:
-            lock = Resource(self.sim, capacity=1, name=f"{self.name}.row{row}")
-            self._row_locks[row] = lock
-        return lock
-
     def _row_disks(self, row: int) -> list[int]:
         """All disks holding a unit of ``row`` (data plus parity)."""
         parity = self._layout5.parity_disk(row)
@@ -381,79 +464,41 @@ class Raid5Controller(_BaseController):
                 for k in range(self.layout.data_units_per_row)]
         return data + [parity]
 
-    def _unavailable(self, disk: int, row: int) -> bool:
-        """True when ``disk``'s copy of ``row`` cannot be trusted:
-        the disk failed, or it is a replacement whose rebuild has not
-        reached that row yet."""
-        if self.paths[disk].disk.failed:
-            return True
-        frontier = self._rebuild_frontier.get(disk)
-        return frontier is not None and row >= frontier
-
     def _surviving(self, disks: list[int], exclude: int,
                    row: int) -> list[int]:
         result = []
         for disk in disks:
             if disk == exclude:
                 continue
-            if self._unavailable(disk, row):
+            if self.unavailable(disk, row):
                 raise UnrecoverableArrayError(
                     f"{self.name}: second failure on disk {disk}")
             result.append(disk)
         return result
 
     def _read_piece(self, piece: Piece):
-        if self._unavailable(piece.disk, piece.row):
+        if self.unavailable(piece.disk, piece.row):
             data = yield from self._degraded_read(piece)
             return data
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        backoff = policy.backoff_s if policy is not None else 0.0
-        for attempt in range(1, attempts + 1):
-            try:
-                data = yield from self.paths[piece.disk].read(piece.lba,
-                                                              piece.nsectors)
-                return data
-            except DiskFailedError:
-                data = yield from self._degraded_read(piece)
-                return data
-            except MediumError:
-                data = yield from self._heal_read(piece)
-                return data
-            except TransientDiskError:
-                self.transient_retries += 1
-                self._m_transient_retries.inc()
-                if attempt == attempts:
-                    data = yield from self._degraded_read(piece)
-                    return data
-            yield self.sim.timeout(backoff)
-            backoff *= policy.backoff_factor
+        try:
+            data = yield from self._read_unit(piece.disk, piece.lba,
+                                              piece.nsectors)
+        except (DiskFailedError, TransientDiskError):
+            data = yield from self._degraded_read(piece)
+        except MediumError:
+            # Reconstruct past the latent sectors, then write back.
+            data = yield from self._degraded_read(piece)
+            yield from self._heal(piece.disk, piece.lba, data)
+        return data
 
     # ------------------------------------------------------------------
     # degraded read: XOR of every other unit in the row
     # ------------------------------------------------------------------
     def _degraded_read(self, piece: Piece):
-        self.degraded_reads += 1
         self._m_degraded_reads.inc()
         data = yield from self._reconstruct_range(
             piece.row, piece.disk,
             piece.unit_offset // SECTOR_SIZE, piece.nsectors)
-        return data
-
-    def _heal_read(self, piece: Piece):
-        """Process: reconstruct past a medium error, then write back.
-
-        The write-back (best-effort) heals the latent sectors — the
-        drive remaps them on write — so subsequent reads go direct.
-        """
-        data = yield from self._degraded_read(piece)
-        if not self.paths[piece.disk].disk.failed:
-            try:
-                yield from self.paths[piece.disk].write(piece.lba, data)
-                self.media_error_heals += 1
-                self._m_media_error_heals.inc()
-            except (DiskFailedError, TransientDiskError):
-                pass
         return data
 
     def _reconstruct_range(self, row: int, failed_disk: int,
@@ -467,34 +512,17 @@ class Raid5Controller(_BaseController):
         parity = yield from self.parity.compute(blocks)
         return parity
 
+    def _reconstruct_rows(self, disk: int, row: int, nrows: int):
+        """Process: XOR of the row's survivors (one row per step)."""
+        data = yield from self._reconstruct_range(row, disk, 0,
+                                                  self.layout.unit_sectors)
+        return data
+
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def write(self, offset: int, data: bytes):
-        """Process: write a logical range with parity maintenance."""
-        with self.sim.tracer.span("raid.write", self.name,
-                                  nbytes=len(data), offset=offset):
-            pieces = self.layout.map_data(offset, len(data))
-            data = memoryview(data)  # sliced (never copied) on the way down
-            by_row: dict[int, list[Piece]] = {}
-            for piece in pieces:
-                by_row.setdefault(piece.row, []).append(piece)
-            procs = [
-                self.sim.process(
-                    self._write_row(row, row_pieces, offset, data),
-                    name=f"{self.name}.row{row}.write")
-                for row, row_pieces in by_row.items()
-            ]
-            yield self.sim.all_of(procs)
-            return None
-
-    def _payload_of(self, piece: Piece, offset: int,
-                    data: memoryview) -> memoryview:
-        start = piece.logical_offset - offset
-        return data[start:start + piece.nbytes]
-
     def _write_row(self, row: int, pieces: list[Piece], offset: int,
-                   data: bytes):
+                   data: memoryview):
         covered = sum(piece.nbytes for piece in pieces)
         with self.sim.tracer.span("raid.write_row", self.name,
                                   nbytes=covered, row=row) as span:
@@ -532,8 +560,8 @@ class Raid5Controller(_BaseController):
         return None
 
     def _full_stripe_write(self, row: int, pieces: list[Piece], offset: int,
-                           data: bytes):
-        self.full_stripe_writes += 1
+                           data: memoryview):
+        self._m_full_stripe_writes.inc()
         layout = self._layout5
         ordered = sorted(pieces, key=lambda p: p.logical_offset)
         unit_payloads = [self._payload_of(piece, offset, data)
@@ -551,11 +579,11 @@ class Raid5Controller(_BaseController):
         return None
 
     def _partial_write(self, row: int, pieces: list[Piece], offset: int,
-                       data: bytes):
+                       data: memoryview):
         layout = self._layout5
         parity_disk = layout.parity_disk(row)
-        parity_failed = self._unavailable(parity_disk, row)
-        target_failed = any(self._unavailable(p.disk, row) for p in pieces)
+        parity_failed = self.unavailable(parity_disk, row)
+        target_failed = any(self.unavailable(p.disk, row) for p in pieces)
 
         if parity_failed and target_failed:
             raise UnrecoverableArrayError(
@@ -593,17 +621,17 @@ class Raid5Controller(_BaseController):
         return None
 
     def _any_row_disk_failed(self, row: int) -> bool:
-        return any(self._unavailable(d, row) for d in self._row_disks(row))
+        return any(self.unavailable(d, row) for d in self._row_disks(row))
 
     def _rmw_write(self, row: int, pieces: list[Piece], offset: int,
-                   data: bytes):
+                   data: memoryview):
         """The classic four-access small write.
 
         Reads the old data and the old parity over the union of the
         written intra-unit ranges, computes ``new parity = old parity
         XOR old data XOR new data``, then writes new data and parity.
         """
-        self.rmw_writes += 1
+        self._m_rmw_writes.inc()
         layout = self._layout5
         parity_disk = layout.parity_disk(row)
         lo = min(piece.unit_offset for piece in pieces)
@@ -639,13 +667,14 @@ class Raid5Controller(_BaseController):
         return None
 
     def _reconstruct_write(self, row: int, pieces: list[Piece], offset: int,
-                           data: bytes):
+                           data: memoryview):
         """Large partial-row write: read the untouched units, compute
         fresh parity over the whole row, write the new data and parity.
 
         Cheaper than RMW when the write covers more than half the row —
         the case for big requests that straddle a row boundary.
         """
+        self._m_reconstruct_writes.inc()
         layout = self._layout5
         unit = self.layout.stripe_unit_bytes
         parity_disk = layout.parity_disk(row)
@@ -701,7 +730,7 @@ class Raid5Controller(_BaseController):
         return None
 
     def _degraded_row_write(self, row: int, pieces: list[Piece], offset: int,
-                            data: bytes):
+                            data: memoryview):
         """Reconstruct-write: rebuild the whole row image, then rewrite.
 
         Used whenever any disk in the row is down: old units are
@@ -711,17 +740,15 @@ class Raid5Controller(_BaseController):
         parity is written.
         """
         layout = self._layout5
-        unit = self.layout.stripe_unit_bytes
         parity_disk = layout.parity_disk(row)
         lba = self.layout.row_lba(row)
         nsectors = self.layout.unit_sectors
 
-        self.degraded_writes += 1
         self._m_degraded_writes.inc()
         units: list[bytes] = []  # old images, kept to skip unchanged units
         for k in range(self.layout.data_units_per_row):
             disk = layout.data_disk(row, k)
-            if self._unavailable(disk, row):
+            if self.unavailable(disk, row):
                 block = yield from self._reconstruct_range(row, disk, 0,
                                                            nsectors)
             else:
@@ -762,68 +789,6 @@ class Raid5Controller(_BaseController):
                 return k
         raise RaidError(f"disk {disk} holds no data unit in row {row}")
 
-    # ------------------------------------------------------------------
-    # rebuild and verification
-    # ------------------------------------------------------------------
-    def rebuild(self, disk_index: int, max_rows: Optional[int] = None):
-        """Process: reconstruct a replaced disk's every unit from peers.
-
-        While the rebuild runs, a *frontier* marks how far it has got:
-        reads and writes treat the un-rebuilt remainder of the disk as
-        unavailable and fall back to reconstruction, so clients can keep
-        operating at full correctness throughout.  Each row is rebuilt
-        under its row lock so concurrent writes serialize cleanly.
-        """
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        nsectors = self.layout.unit_sectors
-        self._rebuild_frontier[disk_index] = 0
-        try:
-            with self.sim.tracer.span("raid.rebuild", self.name,
-                                      disk=disk_index, rows=rows):
-                for row in range(rows):
-                    lock = self._row_lock(row)
-                    yield lock.acquire()
-                    try:
-                        others = self._surviving(self._row_disks(row),
-                                                 disk_index, row)
-                        lba = self.layout.row_lba(row)
-                        procs = [self.sim.process(
-                            self._read_unit(d, lba, nsectors))
-                            for d in others]
-                        blocks = yield self.sim.all_of(procs)
-                        unit = yield from self.parity.compute(blocks)
-                        yield from self._data_write(
-                            disk_index, lba, unit, tolerate_failure=False)
-                        self._rebuild_frontier[disk_index] = row + 1
-                        self._m_rebuilt_rows.inc()
-                    finally:
-                        lock.release()
-        finally:
-            # Rows past max_rows (when bounded) remain untrusted only
-            # for the duration of the call; a bounded rebuild is a test
-            # convenience and callers treat the disk as fully rebuilt.
-            del self._rebuild_frontier[disk_index]
-        return None
-
-    def verify_parity(self, max_rows: Optional[int] = None) -> bool:
-        """Instant check: every row's parity equals the XOR of its data."""
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        nsectors = self.layout.unit_sectors
-        for row in range(rows):
-            lba = self.layout.row_lba(row)
-            data_blocks = [
-                self.paths[self._layout5.data_disk(row, k)].disk.peek(
-                    lba, nsectors)
-                for k in range(self.layout.data_units_per_row)
-            ]
-            parity = self.paths[self._layout5.parity_disk(row)].disk.peek(
-                lba, nsectors)
-            if xor_blocks(data_blocks) != parity:
-                return False
-        return True
-
 
 class Raid3Controller(_BaseController):
     """Sector-interleaved RAID 3 with a dedicated parity disk.
@@ -832,6 +797,9 @@ class Raid3Controller(_BaseController):
     an array-wide lock, and every operation engages all data disks over
     whole rows (partial rows are read-modify-written).
     """
+
+    #: Rebuild steps take the array lock, so they batch rows.
+    _rebuild_chunk_rows = 128
 
     def __init__(self, sim: Simulator, paths: Sequence,
                  parity_computer=None, name: str = "raid3",
@@ -843,8 +811,6 @@ class Raid3Controller(_BaseController):
         self.parity = parity_computer if parity_computer is not None \
             else InstantParity()
         self._array_lock = Resource(sim, capacity=1, name=f"{name}.lock")
-        #: disk index -> first row NOT yet rebuilt (see Raid5Controller).
-        self._rebuild_frontier: dict[int, int] = {}
 
     @property
     def row_bytes(self) -> int:
@@ -855,12 +821,8 @@ class Raid3Controller(_BaseController):
         last = (offset + nbytes - 1) // self.row_bytes
         return first, last
 
-    def _untrusted(self, disk: int, first_row: int, nrows: int) -> bool:
-        """True when ``disk``'s copy of the extent cannot be trusted."""
-        if self.paths[disk].disk.failed:
-            return True
-        frontier = self._rebuild_frontier.get(disk)
-        return frontier is not None and first_row + nrows > frontier
+    def _rebuild_lock(self, row: int) -> Resource:
+        return self._array_lock
 
     def _read_rows(self, first_row: int, last_row: int):
         """Process: read full rows from all data disks; returns buffers."""
@@ -875,30 +837,24 @@ class Raid3Controller(_BaseController):
     def _read_disk_rows(self, disk: int, first_row: int, nrows: int):
         """Process: one data disk's share of a row span, healed through
         parity when the disk is down, mid-rebuild or erroring."""
-        if self._untrusted(disk, first_row, nrows):
-            data = yield from self._reconstruct_rows(disk, first_row, nrows)
-            return data
-        try:
-            data = yield from self._read_unit(disk, first_row, nrows)
-            return data
-        except (DiskFailedError, MediumError):
-            data = yield from self._reconstruct_rows(disk, first_row, nrows)
-            return data
-
-    def _reconstruct_rows(self, missing: int, first_row: int, nrows: int):
-        """Process: XOR a missing disk's rows from the others + parity."""
-        self.degraded_reads += 1
+        if not self.unavailable(disk, first_row + nrows - 1):
+            try:
+                data = yield from self._read_unit(disk, first_row, nrows)
+                return data
+            except (DiskFailedError, MediumError):
+                pass
         self._m_degraded_reads.inc()
-        ndisks = self.layout.data_units_per_row
-        others = [d for d in range(ndisks) if d != missing]
-        parity_disk = self._layout3.parity_disk(0)
-        if parity_disk != missing:
-            others.append(parity_disk)
+        data = yield from self._reconstruct_rows(disk, first_row, nrows)
+        return data
+
+    def _reconstruct_rows(self, disk: int, row: int, nrows: int):
+        """Process: XOR a missing disk's rows from the others + parity."""
+        others = [d for d in range(self.layout.num_disks) if d != disk]
         for d in others:
-            if self._untrusted(d, first_row, nrows):
+            if self.unavailable(d, row + nrows - 1):
                 raise UnrecoverableArrayError(
                     f"{self.name}: second failure on disk {d}")
-        procs = [self.sim.process(self._read_unit(d, first_row, nrows))
+        procs = [self.sim.process(self._read_unit(d, row, nrows))
                  for d in others]
         blocks = yield self.sim.all_of(procs)
         data = yield from self.parity.compute(blocks)
@@ -977,64 +933,3 @@ class Raid3Controller(_BaseController):
                 return None
             finally:
                 self._array_lock.release()
-
-    def rebuild(self, disk_index: int, max_rows: Optional[int] = None):
-        """Process: reconstruct a replaced disk (data or parity).
-
-        Rows are rebuilt in chunks under the array lock, so client I/O
-        interleaves between chunks; the frontier keeps reads of the
-        not-yet-rebuilt remainder on the reconstruction path (a
-        repaired disk is blank, not failed, so without the frontier
-        those reads would silently return zeros).
-        """
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        chunk_rows = 128
-        ndisks = self.layout.data_units_per_row
-        sources = [d for d in range(ndisks) if d != disk_index]
-        parity_disk = self._layout3.parity_disk(0)
-        if parity_disk != disk_index:
-            sources.append(parity_disk)
-        self._rebuild_frontier[disk_index] = 0
-        try:
-            with self.sim.tracer.span("raid.rebuild", self.name,
-                                      disk=disk_index, rows=rows):
-                row = 0
-                while row < rows:
-                    nrows = min(chunk_rows, rows - row)
-                    yield self._array_lock.acquire()
-                    try:
-                        for d in sources:
-                            if self.paths[d].disk.failed:
-                                raise UnrecoverableArrayError(
-                                    f"{self.name}: second failure on "
-                                    f"disk {d}")
-                        procs = [self.sim.process(
-                            self._read_unit(d, row, nrows))
-                            for d in sources]
-                        blocks = yield self.sim.all_of(procs)
-                        unit = yield from self.parity.compute(blocks)
-                        yield from self._data_write(
-                            disk_index, row, unit, tolerate_failure=False)
-                        self._rebuild_frontier[disk_index] = row + nrows
-                        self._m_rebuilt_rows.inc(nrows)
-                    finally:
-                        self._array_lock.release()
-                    row += nrows
-        finally:
-            del self._rebuild_frontier[disk_index]
-        return None
-
-    def verify_parity(self, max_rows: Optional[int] = None) -> bool:
-        """Instant check of the dedicated parity disk."""
-        rows = self.layout.rows if max_rows is None else min(
-            self.layout.rows, max_rows)
-        ndisks = self.layout.data_units_per_row
-        parity_disk = self._layout3.parity_disk(0)
-        for row in range(rows):
-            data_blocks = [self.paths[d].disk.peek(row, 1)
-                           for d in range(ndisks)]
-            parity = self.paths[parity_disk].disk.peek(row, 1)
-            if xor_blocks(data_blocks) != parity:
-                return False
-        return True

@@ -130,10 +130,16 @@ def assert_fs_consistent(fs) -> None:
         raise ConsistencyError(report.render())
 
 
-def assert_parity_clean(controller, max_rows=None) -> None:
-    """Scrub a RAID array; raise ConsistencyError on any mismatched row."""
+def assert_parity_clean(controller, max_rows=None):
+    """Scrub a RAID array; raise ConsistencyError on any mismatched row.
+
+    Returns the :class:`~repro.analysis.scrub_raid.ScrubReport`, so a
+    caller can also check ``rows_checked`` (degraded rows are skipped,
+    not checked).
+    """
     from repro.analysis.scrub_raid import scrub_array
 
     report = scrub_array(controller, max_rows=max_rows)
     if not report.ok:
         raise ConsistencyError(report.render())
+    return report

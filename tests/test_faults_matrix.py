@@ -4,6 +4,9 @@ CI runs this file once per level (``FAULT_MATRIX_LEVEL=1|3|5``); with
 the variable unset, a local run covers all three.  Each level must
 survive a mid-stream disk death with every byte intact, heal a
 transient burst invisibly, and scrub clean after repair + rebuild.
+Every level rebuilds behind a frontier: reads racing a rebuild, and
+reads after a bounded rebuild, return the written bytes, and the scrub
+counts rows past a remaining frontier as degraded.
 """
 
 import dataclasses
@@ -17,6 +20,7 @@ from repro.hw import IBM_0661, DiskDrive
 from repro.raid import (DirectDiskPath, Raid1Controller, Raid3Controller,
                         Raid5Controller)
 from repro.sim import Simulator
+from repro.analysis import scrub_array
 from repro.testing import assert_parity_clean
 from repro.units import KIB, MIB, SECTOR_SIZE
 
@@ -47,6 +51,17 @@ def _scrub_rows(ctrl):
     layout = ctrl.layout
     row_bytes = layout.data_units_per_row * layout.unit_sectors * SECTOR_SIZE
     return -(-SIZE // row_bytes) + 1
+
+
+def _replaced(level, seed):
+    """A written array whose disk 0 died and was replaced (blank)."""
+    sim = Simulator()
+    paths, ctrl = make_level(sim, level)
+    base = pattern(SIZE, seed=seed)
+    sim.run_process(ctrl.write(0, base))
+    paths[0].disk.fail()
+    paths[0].disk.repair()
+    return sim, ctrl, base
 
 
 @pytest.mark.parametrize("level", LEVELS)
@@ -100,3 +115,46 @@ def test_transient_burst_is_invisible(level):
     assert inj.m_transient_errors.value == 3
     assert ctrl.degraded_reads == 0
     assert_parity_clean(ctrl, max_rows=_scrub_rows(ctrl))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_reads_racing_rebuild_return_written_bytes(level):
+    sim, ctrl, base = _replaced(level, seed=20 + level)
+    chunk = SIZE // 8
+    results = []
+
+    def reader():
+        for index in range(16):
+            offset = (index % 8) * chunk
+            data = yield from ctrl.read(offset, chunk)
+            results.append(data == base[offset:offset + chunk])
+
+    rebuild = sim.process(ctrl.rebuild(0))
+    sim.process(reader())
+    sim.run()
+    assert rebuild.processed
+    assert len(results) == 16 and all(results)
+    assert_parity_clean(ctrl)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_bounded_rebuild_keeps_frontier(level):
+    sim, ctrl, base = _replaced(level, seed=30 + level)
+    rows = _scrub_rows(ctrl) // 2
+    sim.run_process(ctrl.rebuild(0, max_rows=rows))
+    assert sim.run_process(ctrl.read(0, SIZE)) == base
+    # A second bounded pass restarts at row 0 and stays correct too.
+    sim.run_process(ctrl.rebuild(0, max_rows=rows // 2))
+    assert sim.run_process(ctrl.read(0, SIZE)) == base
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_scrub_counts_rows_past_frontier_as_degraded(level):
+    sim, ctrl, _ = _replaced(level, seed=40 + level)
+    scanned = _scrub_rows(ctrl)
+    rows = scanned // 2
+    sim.run_process(ctrl.rebuild(0, max_rows=rows))
+    report = scrub_array(ctrl, max_rows=scanned)
+    assert report.ok
+    assert report.rows_checked == rows
+    assert report.degraded_rows == list(range(rows, scanned))

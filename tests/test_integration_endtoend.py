@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.analysis import scrub_array
 from repro.client import RaidFileClient
 from repro.lfs import LogStructuredFS
 from repro.net import UltranetLink
@@ -75,7 +76,7 @@ def story():
     record["read_during_rebuild"] = during
     sim.run()
     record["rebuild_done"] = rebuild.processed
-    record["parity_ok_after_rebuild"] = server.raid.verify_parity(max_rows=48)
+    record["scrub_after_rebuild"] = scrub_array(server.raid, max_rows=48)
 
     # --- stage 4: churn + cleaning ---
     def churn():
@@ -118,7 +119,8 @@ def test_service_during_rebuild(story):
     assert story["read_during_rebuild"] == \
         story["dataset"][1 * MIB:1 * MIB + 512 * KIB]
     assert story["rebuild_done"]
-    assert story["parity_ok_after_rebuild"]
+    assert story["scrub_after_rebuild"].ok
+    assert story["scrub_after_rebuild"].rows_checked == 48
 
 
 def test_cleaner_reclaimed_churn(story):

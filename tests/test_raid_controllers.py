@@ -10,6 +10,7 @@ from repro.hw import IBM_0661, DiskDrive
 from repro.raid import (DirectDiskPath, Raid0Controller, Raid1Controller,
                         Raid3Controller, Raid5Controller)
 from repro.sim import Simulator
+from repro.testing import assert_parity_clean
 from repro.units import KIB, MIB, SECTOR_SIZE
 
 SMALL_DISK = dataclasses.replace(IBM_0661, capacity_bytes=4 * MIB)
@@ -172,7 +173,7 @@ def test_raid5_roundtrip_unaligned(sim):
         return data
 
     assert sim.run_process(body()) == payload
-    assert ctrl.verify_parity(max_rows=4)
+    assert assert_parity_clean(ctrl, max_rows=4).rows_checked == 4
 
 
 def test_raid5_full_stripe_write_detected(sim):
@@ -185,7 +186,8 @@ def test_raid5_full_stripe_write_detected(sim):
     sim.run_process(body())
     assert ctrl.full_stripe_writes == 1
     assert ctrl.rmw_writes == 0
-    assert ctrl.verify_parity(max_rows=1)
+    assert ctrl.reconstruct_writes == 0
+    assert assert_parity_clean(ctrl, max_rows=1).rows_checked == 1
 
 
 def test_raid5_full_stripe_write_reads_nothing(sim):
@@ -210,9 +212,28 @@ def test_raid5_small_write_costs_four_accesses(sim):
 
     sim.run_process(body())
     assert ctrl.rmw_writes == 1
+    assert ctrl.reconstruct_writes == 0
     assert sum(path.disk.reads for path in paths) == 2
     assert sum(path.disk.writes for path in paths) == 2
-    assert ctrl.verify_parity(max_rows=1)
+    assert assert_parity_clean(ctrl, max_rows=1).rows_checked == 1
+
+
+def test_raid5_large_partial_write_reads_only_untouched_units(sim):
+    """A write covering more than half a row is a reconstruct-write:
+    read the one untouched unit, write three data units + parity."""
+    paths = make_array(sim, 5)
+    ctrl = Raid5Controller(sim, paths, UNIT)
+
+    def body():
+        yield from ctrl.write(0, pattern(3 * UNIT))
+
+    sim.run_process(body())
+    assert ctrl.reconstruct_writes == 1
+    assert ctrl.rmw_writes == 0
+    assert ctrl.full_stripe_writes == 0
+    assert sum(path.disk.reads for path in paths) == 1
+    assert sum(path.disk.writes for path in paths) == 4
+    assert assert_parity_clean(ctrl, max_rows=1).rows_checked == 1
 
 
 def test_raid5_overwrite_keeps_parity_consistent(sim):
@@ -230,7 +251,7 @@ def test_raid5_overwrite_keeps_parity_consistent(sim):
     expected[2 * UNIT:5 * UNIT] = pattern(3 * UNIT, seed=2)
     expected[5 * SECTOR_SIZE:7 * SECTOR_SIZE] = pattern(2 * SECTOR_SIZE, seed=3)
     assert data == bytes(expected)
-    assert ctrl.verify_parity(max_rows=4)
+    assert assert_parity_clean(ctrl, max_rows=4).rows_checked == 4
 
 
 def test_raid5_degraded_read_reconstructs(sim):
@@ -310,7 +331,7 @@ def test_raid5_rebuild_restores_failed_disk(sim):
     before, after, data = sim.run_process(body())
     assert after == before
     assert data == payload
-    assert ctrl.verify_parity(max_rows=4)
+    assert assert_parity_clean(ctrl, max_rows=4).rows_checked == 4
 
 
 def test_raid5_concurrent_small_writes_same_row_stay_consistent(sim):
@@ -323,7 +344,7 @@ def test_raid5_concurrent_small_writes_same_row_stay_consistent(sim):
     for k in range(4):
         sim.process(writer(k, seed=10 + k))
     sim.run()
-    assert ctrl.verify_parity(max_rows=1)
+    assert assert_parity_clean(ctrl, max_rows=1).rows_checked == 1
     for k in range(4):
         assert ctrl.peek(k * UNIT, UNIT) == pattern(UNIT, seed=10 + k)
 
@@ -371,7 +392,7 @@ def test_raid3_roundtrip(sim):
         return data
 
     assert sim.run_process(body()) == payload
-    assert ctrl.verify_parity(max_rows=8)
+    assert assert_parity_clean(ctrl, max_rows=8).rows_checked == 8
 
 
 def test_raid3_unaligned_write_rmw(sim):
@@ -387,7 +408,7 @@ def test_raid3_unaligned_write_rmw(sim):
     expected = bytearray(pattern(8 * KIB, seed=12))
     expected[3 * SECTOR_SIZE:4 * SECTOR_SIZE] = pattern(SECTOR_SIZE, seed=13)
     assert data == bytes(expected)
-    assert ctrl.verify_parity(max_rows=4)
+    assert assert_parity_clean(ctrl, max_rows=4).rows_checked == 4
 
 
 def test_raid3_engages_all_data_disks_per_read(sim):

@@ -10,6 +10,7 @@ from repro.errors import UnrecoverableArrayError
 from repro.hw import IBM_0661, DiskDrive
 from repro.raid import DirectDiskPath, Raid5Controller
 from repro.sim import Simulator
+from repro.testing import assert_parity_clean
 from repro.units import KIB, MIB
 
 SMALL_DISK = dataclasses.replace(IBM_0661, capacity_bytes=4 * MIB)
@@ -52,7 +53,7 @@ def test_rebuild_while_reads_continue():
     sim.run()
 
     assert all(r == payload[:10 * UNIT] for r in results)
-    assert ctrl.verify_parity(max_rows=8)
+    assert assert_parity_clean(ctrl, max_rows=8).rows_checked == 8
     data = sim.run_process(ctrl.read(0, len(payload)))
     assert data == payload
 
@@ -160,7 +161,7 @@ def test_many_small_concurrent_ops_keep_parity_consistent():
     for seed in range(nworkers):
         sim.process(worker(seed))
     sim.run()
-    assert ctrl.verify_parity()
+    assert assert_parity_clean(ctrl).rows_checked == ctrl.layout.rows
 
 
 def test_rebuild_race_with_fault_plan_replays_identically():
@@ -187,7 +188,7 @@ def test_rebuild_race_with_fault_plan_replays_identically():
         sim.process(writer())
         sim.run()
         assert rebuild_proc.processed
-        assert ctrl.verify_parity(max_rows=12)
+        assert assert_parity_clean(ctrl, max_rows=12).rows_checked == 12
         data = sim.run_process(ctrl.read(0, 40 * UNIT))
         return data
 

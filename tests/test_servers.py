@@ -13,6 +13,7 @@ from repro.net import UltranetLink
 from repro.server import Raid1Server, Raid2Config, Raid2Server
 from repro.server.raid2 import make_sparcstation_client
 from repro.sim import Simulator
+from repro.testing import assert_parity_clean
 from repro.units import KIB, MB, MIB
 from repro.workloads import (random_aligned_offsets, run_request_stream,
                              sequential_offsets)
@@ -67,7 +68,7 @@ def test_hw_write_then_read_roundtrip_data():
 
     sim.run_process(body())
     assert server.raid.peek(0, 512 * KIB) == b"\xab" * (512 * KIB)
-    assert server.raid.verify_parity(max_rows=1)
+    assert assert_parity_clean(server.raid, max_rows=1).rows_checked == 1
 
 
 def test_hw_large_random_read_rate_near_20_mb_s():
@@ -158,7 +159,7 @@ def test_lfs_on_server_roundtrip():
         return data
 
     assert sim.run_process(body()) == payload
-    assert server.raid.verify_parity(max_rows=8)
+    assert assert_parity_clean(server.raid, max_rows=8).rows_checked == 8
 
 
 def test_lfs_segment_flush_uses_full_stripe_writes():
