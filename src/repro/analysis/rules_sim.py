@@ -29,7 +29,7 @@ from repro.analysis.lint import (Finding, LintRule, Project, SourceFile,
                                  parent_of, register_rule, walk_scope)
 
 #: Methods that return an Event the caller must wait on.  These come
-#: from the kernel API (Simulator/Resource/Store), so they cannot be
+#: from the kernel API (Simulator/Resource), so they cannot be
 #: discovered by the generator scan.
 EVENT_RETURNING = {"acquire", "timeout", "all_of", "any_of"}
 

@@ -11,9 +11,8 @@ XBUS crossbar, networks, hosts) on top of these primitives.
 
 from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from repro.sim.channel import BandwidthChannel
-from repro.sim.monitor import (BusyMonitor, LatencyMonitor, ThroughputMeter,
-                               ZeroWindow)
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.monitor import BusyMonitor
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -22,13 +21,8 @@ __all__ = [
     "BusyMonitor",
     "Event",
     "Interrupt",
-    "LatencyMonitor",
-    "PriorityResource",
     "Process",
     "Resource",
     "Simulator",
-    "Store",
-    "ThroughputMeter",
     "Timeout",
-    "ZeroWindow",
 ]

@@ -20,7 +20,8 @@ Fast-path invariants (see DESIGN.md §7): every scheduling action draws
 exactly one sequence number through :meth:`Simulator._enqueue`, and
 same-time entries fire in sequence order, so the optimizations below —
 ``__slots__``, direct process starts instead of bootstrap events,
-the sole-waiter fast path, and batch-popping in :meth:`Simulator.run` —
+the sole-waiter fast path, and batch-popping in the one dispatch loop
+(:meth:`Simulator._loop`) —
 change wall-clock cost only, never simulated clocks or results.
 
 Heap entries are ``(when, seq, kind, obj)`` tuples.  ``seq`` is unique,
@@ -126,27 +127,6 @@ class Event:
             self.callbacks = [callback]
         else:
             self.callbacks.append(callback)
-
-    def _fire(self) -> None:
-        # The sole waiter registered before any listed callback, so it
-        # resumes first — the same FIFO order the callback list gave.
-        # NOTE: the dispatch loops in Simulator.run/run_process inline
-        # this body; keep them in sync.
-        self._processed = True
-        waiter = self._waiter
-        if waiter is not None:
-            self._waiter = None
-            if waiter._value is _UNSET and waiter._exc is None:
-                exc = self._exc
-                if exc is not None:
-                    waiter._step(None, exc)
-                else:
-                    waiter._step(self._value)
-        callbacks = self.callbacks
-        if callbacks is not None:
-            self.callbacks = None
-            for callback in callbacks:
-                callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (
@@ -271,7 +251,7 @@ class Process(Event):
                 continue
             self._waiting_on = target
             if target._waiter is None and not target.callbacks:
-                # Sole waiter: resumed directly by _fire, no list.
+                # Sole waiter: resumed directly by the dispatch loop, no list.
                 target._waiter = self
             else:
                 target.add_callback(self._resume)
@@ -396,8 +376,9 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def _enqueue(self, delay: float, obj: Any, kind: int = _KIND_FIRE) -> None:
-        # Single chokepoint for every scheduling action: the determinism
-        # trace test hooks this to fingerprint simulated behavior.
+        # heapq.heappush is looked up at call time (here and in
+        # timeout()): the determinism trace test hooks it to fingerprint
+        # simulated behavior.
         heapq.heappush(self._heap,
                        (self.now + delay, next(self._seq), kind, obj))
 
@@ -405,34 +386,41 @@ class Simulator:
         if self._crashed is None:
             self._crashed = exc
 
-    def _dispatch(self, kind: int, obj: Any) -> None:
-        """Run one popped heap entry (time already advanced)."""
-        if kind == _KIND_FIRE:
-            obj._fire()
-        elif kind == _KIND_START:
-            if obj._value is _UNSET and obj._exc is None:
-                obj._step()
-        else:  # _KIND_INTERRUPT
-            process, exc = obj
-            if process._value is _UNSET and process._exc is None:
-                process._step(None, exc)
-
     # -- execution ----------------------------------------------------------
-    def step(self) -> None:
-        """Fire the single next event."""
-        when, _seq, kind, obj = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("event queue went backwards in time")
-        self.now = when
-        self._dispatch(kind, obj)
-        if self._crashed is not None:
-            exc, self._crashed = self._crashed, None
-            raise exc
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
 
         Returns the simulation clock after running.
+        """
+        self._loop(until, None)
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
+    def run_process(self, generator: SimGenerator, name: str = "") -> Any:
+        """Run ``generator`` as a process to completion and return its value.
+
+        This is the bridge between the synchronous public API and the
+        event loop: facades wrap an I/O path generator and call this.
+        """
+        proc = self.process(generator, name=name)
+        # Keep a callback registered so a failure propagates here rather
+        # than crashing the run loop.
+        proc.add_callback(_noop)
+        self._loop(None, proc)
+        if proc._value is _UNSET and proc._exc is None:
+            raise SimulationError(
+                f"deadlock: process {proc.name!r} cannot complete "
+                "(event queue is empty)")
+        return proc.value
+
+    def _loop(self, until: Optional[float], proc: Optional[Process]) -> None:
+        """The one dispatch loop behind :meth:`run` and :meth:`run_process`.
+
+        Pops entries in ``(when, seq)`` order until the queue drains,
+        the next entry lies past ``until`` (the clock then stops at
+        ``until``), or ``proc`` has triggered — checked after every
+        entry, so later entries of that instant stay queued.
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -440,16 +428,17 @@ class Simulator:
             when = heap[0][0]
             if until is not None and when > until:
                 self.now = until
-                return self.now
+                return
             self.now = when
             # Batch-pop everything scheduled for this instant: one
-            # timestamp comparison per event instead of re-checking
-            # ``until`` and re-reading the clock each iteration.  The
-            # kind-0 arm is Event._fire inlined (sole-waiter resume
-            # first, then listed callbacks) to skip two calls per event.
+            # timestamp comparison per entry instead of re-checking
+            # ``until`` and re-reading the clock each time.
             while True:
                 _when, _seq, kind, obj = heappop(heap)
                 if kind == _KIND_FIRE:
+                    # The sole waiter registered before any listed
+                    # callback, so it resumes first: the same FIFO
+                    # order a single callback list would give.
                     obj._processed = True
                     waiter = obj._waiter
                     if waiter is not None:
@@ -465,56 +454,18 @@ class Simulator:
                         obj.callbacks = None
                         for callback in callbacks:
                             callback(obj)
-                else:
-                    self._dispatch(kind, obj)
+                elif kind == _KIND_START:
+                    if obj._value is _UNSET and obj._exc is None:
+                        obj._step()
+                else:  # _KIND_INTERRUPT
+                    process, exc = obj
+                    if process._value is _UNSET and process._exc is None:
+                        process._step(None, exc)
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc
+                if proc is not None and (proc._value is not _UNSET
+                                         or proc._exc is not None):
+                    return
                 if not heap or heap[0][0] != when:
                     break
-        if until is not None and until > self.now:
-            self.now = until
-        return self.now
-
-    def run_process(self, generator: SimGenerator, name: str = "") -> Any:
-        """Run ``generator`` as a process to completion and return its value.
-
-        This is the bridge between the synchronous public API and the
-        event loop: facades wrap an I/O path generator and call this.
-        """
-        proc = self.process(generator, name=name)
-        # Keep a callback registered so a failure propagates here rather
-        # than crashing the run loop.
-        proc.add_callback(_noop)
-        heap = self._heap
-        heappop = heapq.heappop
-        while proc._value is _UNSET and proc._exc is None:
-            if not heap:
-                raise SimulationError(
-                    f"deadlock: process {proc.name!r} cannot complete "
-                    "(event queue is empty)")
-            when, _seq, kind, obj = heappop(heap)
-            self.now = when
-            # Inlined Event._fire, as in run() above.
-            if kind == _KIND_FIRE:
-                obj._processed = True
-                waiter = obj._waiter
-                if waiter is not None:
-                    obj._waiter = None
-                    if waiter._value is _UNSET and waiter._exc is None:
-                        exc = obj._exc
-                        if exc is not None:
-                            waiter._step(None, exc)
-                        else:
-                            waiter._step(obj._value)
-                callbacks = obj.callbacks
-                if callbacks is not None:
-                    obj.callbacks = None
-                    for callback in callbacks:
-                        callback(obj)
-            else:
-                self._dispatch(kind, obj)
-            if self._crashed is not None:
-                exc, self._crashed = self._crashed, None
-                raise exc
-        return proc.value

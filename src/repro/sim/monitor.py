@@ -1,170 +1,23 @@
-"""Measurement helpers: throughput meters, latency and busy-time stats.
+"""Busy-time accounting for utilization reports.
 
-Since the observability PR these classes are thin shims over the
-per-simulator :class:`repro.obs.MetricsRegistry` (``sim.metrics``):
-the values they accumulate live in registry counters/gauges/histograms
-and therefore appear in ``--metrics`` snapshots automatically, while
-the familiar meter API keeps working for experiments and tests.
-Anonymous meters get deterministic registry components
-(``throughput.1``, ``busy.2``...) so snapshots stay identical across
-identical runs.
+:class:`BusyMonitor` is a thin shim over the per-simulator
+:class:`repro.obs.MetricsRegistry` (``sim.metrics``): the busy time it
+accumulates lives in a registry gauge and therefore appears in
+``--metrics`` snapshots automatically.  Anonymous monitors get
+deterministic registry components (``busy.1``, ``busy.2``...) so
+snapshots stay identical across identical runs.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.errors import SimulationError
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from repro.sim.core import Simulator
-from repro.units import MB
 
 #: Relative slack for busy-time accounting checks: utilization may
 #: exceed 1.0 by at most this much before it is treated as a bug.
 UTILIZATION_TOLERANCE = 1e-9
-
-
-class ZeroWindow(float):
-    """A 0.0 rate reported because the measured window had no width.
-
-    Compares and computes exactly like ``0.0``, so callers that only
-    do arithmetic keep working, while callers that care can
-    ``isinstance``-check why the rate is zero instead of crashing (or
-    meeting ``float('inf')``).
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ZeroWindow(0.0)"
-
-
-class ThroughputMeter:
-    """Accumulates completed bytes/operations over a measured window."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        component = name or sim.metrics.unique_component("throughput")
-        self._bytes = sim.metrics.counter(component, "bytes_done", unit="B")
-        self._ops = sim.metrics.counter(component, "ops_done", unit="ops")
-        self._start: Optional[float] = None
-        self._end: Optional[float] = None
-        self._last_duration: Optional[float] = None
-
-    @property
-    def bytes_done(self) -> int:
-        return self._bytes.value
-
-    @property
-    def ops_done(self) -> int:
-        return self._ops.value
-
-    def start(self) -> None:
-        self._start = self.sim.now
-
-    def record(self, nbytes: int, duration: Optional[float] = None) -> None:
-        """Count one completed operation of ``nbytes``.
-
-        ``duration`` (the operation's own service time) is optional;
-        when given it lets the meter report a meaningful rate even for
-        a single-record window, whose elapsed time is zero.
-        """
-        if self._start is None:
-            self.start()
-        self._bytes.inc(nbytes)
-        self._ops.inc(1)
-        self._end = self.sim.now
-        self._last_duration = duration
-
-    @property
-    def elapsed(self) -> float:
-        if self._start is None or self._end is None:
-            raise SimulationError("meter has not recorded anything")
-        return self._end - self._start
-
-    def _window(self) -> float:
-        """The rate denominator: the measured window when it has width,
-        falling back to the last operation's own duration.  Returns 0.0
-        when neither exists — the callers then report ZeroWindow rather
-        than raising or dividing."""
-        elapsed = self.elapsed
-        if elapsed > 0:
-            return elapsed
-        if self._last_duration is not None and self._last_duration > 0:
-            return self._last_duration
-        return 0.0
-
-    @property
-    def mb_per_s(self) -> float:
-        window = self._window()
-        if window <= 0:
-            return ZeroWindow()
-        return self._bytes.value / MB / window
-
-    @property
-    def ios_per_s(self) -> float:
-        window = self._window()
-        if window <= 0:
-            return ZeroWindow()
-        return self._ops.value / window
-
-
-class LatencyMonitor:
-    """Collects per-operation latencies and reports summary statistics.
-
-    Keeps the raw samples (exact nearest-rank percentiles need them)
-    and mirrors every observation into a fixed-bucket histogram — the
-    registry's when a ``sim`` is given, a standalone one otherwise.
-    """
-
-    def __init__(self, name: str = "", sim: Optional[Simulator] = None,
-                 buckets: tuple = DEFAULT_LATENCY_BUCKETS):
-        self.name = name
-        if sim is not None:
-            component = name or sim.metrics.unique_component("latency")
-            self.histogram = sim.metrics.histogram(component, "latency",
-                                                   buckets=buckets)
-        else:
-            self.histogram = Histogram(name or "latency", "latency",
-                                       buckets=buckets)
-        self.samples: list[float] = []
-
-    def record(self, latency: float) -> None:
-        if latency < 0:
-            raise SimulationError(f"negative latency: {latency!r}")
-        self.samples.append(latency)
-        # Histogram.observe is a plain method; it merely shares its
-        # name with the obs session generator.
-        self.histogram.observe(latency)  # lint: disable=SIM001
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        if not self.samples:
-            raise SimulationError("no samples")
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def maximum(self) -> float:
-        if not self.samples:
-            raise SimulationError("no samples")
-        return max(self.samples)
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100]."""
-        if not self.samples:
-            raise SimulationError("no samples")
-        if not 0 <= p <= 100:
-            raise SimulationError(f"percentile out of range: {p!r}")
-        ordered = sorted(self.samples)
-        if p == 0:
-            return ordered[0]
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
 
 
 class BusyMonitor:

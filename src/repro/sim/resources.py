@@ -1,4 +1,4 @@
-"""Shared resources: counted semaphores and FIFO stores.
+"""Shared resources: counted semaphores with FIFO granting.
 
 These model contention points — a disk's command queue slot, the host
 CPU, an XBUS port — where processes must wait their turn.
@@ -7,9 +7,7 @@ CPU, an XBUS port — where processes must wait their turn.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from itertools import count
-from typing import Any, Deque, Optional
+from typing import Deque
 
 from repro.errors import SimulationError
 from repro.sim.core import Event, Simulator
@@ -39,10 +37,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queue_length(self) -> int:
         return len(self._waiters)
 
@@ -63,107 +57,3 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-
-    def locked(self):
-        """Context-manager-style helper usable with ``yield from``::
-
-            with (yield from resource.locked()):
-                ...
-        """
-        yield self.acquire()
-        return _Lease(self)
-
-
-class _Lease:
-    __slots__ = ("_resource",)
-
-    def __init__(self, resource: Resource):
-        self._resource = resource
-
-    def __enter__(self) -> "_Lease":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._resource.release()
-
-
-class PriorityResource(Resource):
-    """A resource whose waiters are granted in priority order.
-
-    Lower ``priority`` values are served first; ties are FIFO.  The
-    XBUS crossbar uses this for its centralized priority arbitration.
-    """
-
-    __slots__ = ("_pq", "_tiebreak")
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        super().__init__(sim, capacity, name)
-        self._pq: list[tuple[int, int, Event]] = []
-        self._tiebreak = count()
-
-    def acquire(self, priority: int = 0) -> Event:
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            heappush(self._pq, (priority, next(self._tiebreak), event))
-        return event
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pq)
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._pq:
-            _prio, _seq, event = heappop(self._pq)
-            event.succeed()
-        else:
-            self._in_use -= 1
-
-
-class Store:
-    """An unbounded (or bounded) FIFO queue of items between processes."""
-
-    __slots__ = ("sim", "capacity", "name", "_items", "_getters", "_putters")
-
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.sim)
-        if self._getters:
-            # Hand the item straight to a waiting getter.
-            self._getters.popleft().succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-            if self._putters:
-                put_event, item = self._putters.popleft()
-                self._items.append(item)
-                put_event.succeed()
-        else:
-            self._getters.append(event)
-        return event

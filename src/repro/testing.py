@@ -6,10 +6,10 @@ RAID controller (timed ``read``/``write`` processes plus instant
 ``peek``/``poke`` and ``capacity_bytes``), which lets file-system
 logic be exercised and benchmarked in isolation from the disk array.
 
-:class:`CrashingDevice` wraps any device and cuts power after a byte
-budget: writes beyond the budget are silently discarded (as a dying
-machine's writes are), which is how the recovery tests produce torn
-segment flushes at every possible point.
+Crash injection lives in :mod:`repro.faults`:
+:class:`~repro.faults.CrashableDevice` executes a plan's
+:class:`~repro.faults.HostCrash` over a :class:`MemoryDevice` as
+readily as over a RAID array.
 """
 
 from __future__ import annotations
@@ -63,56 +63,6 @@ class MemoryDevice:
     def poke(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self._store[offset:offset + len(data)] = data
-
-
-class PowerFailure(Exception):
-    """Raised by :class:`CrashingDevice` when the write budget runs out."""
-
-
-class CrashingDevice:
-    """Wraps a device; after ``budget_bytes`` of writes, power is cut.
-
-    The write during which the budget expires is applied only up to the
-    budget boundary (a torn write), and the failure is raised so the
-    caller can abandon the file system and test recovery.
-    """
-
-    def __init__(self, inner, budget_bytes: int):
-        self.inner = inner
-        self.budget_bytes = budget_bytes
-        self.crashed = False
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.inner.capacity_bytes
-
-    @property
-    def sim(self):
-        return self.inner.sim
-
-    def read(self, offset: int, nbytes: int):
-        if self.crashed:
-            raise PowerFailure("device is powered off")
-        data = yield from self.inner.read(offset, nbytes)
-        return data
-
-    def write(self, offset: int, data: bytes):
-        if self.crashed:
-            raise PowerFailure("device is powered off")
-        if len(data) <= self.budget_bytes:
-            self.budget_bytes -= len(data)
-            yield from self.inner.write(offset, data)
-            return None
-        # Torn write: only the first budget_bytes land.
-        torn = data[:self.budget_bytes]
-        self.budget_bytes = 0
-        self.crashed = True
-        if torn:
-            yield from self.inner.write(offset, torn)
-        raise PowerFailure("power failed during write")
-
-    def peek(self, offset: int, nbytes: int) -> bytes:
-        return self.inner.peek(offset, nbytes)
 
 
 def assert_fs_consistent(fs) -> None:

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
-from repro.errors import CorruptFileSystemError
+from repro.errors import CorruptFileSystemError, CrashPoint
+from repro.faults import (CrashableDevice, FaultInjector, FaultPlan,
+                          HostCrash, restore_media)
 from repro.hw.specs import LFS_SPEC
 from repro.lfs import LogStructuredFS
 from repro.lfs.ondisk import BLOCK_SIZE
 from repro.sim import Simulator
-from repro.testing import CrashingDevice, MemoryDevice, PowerFailure
+from repro.testing import MemoryDevice
 from repro.units import KIB, MIB
 
 FAST_SPEC = dataclasses.replace(LFS_SPEC, segment_bytes=128 * KIB,
@@ -144,9 +146,12 @@ def test_recovery_is_fast_relative_to_volume():
 # torn writes / power failures mid-flush
 # ---------------------------------------------------------------------------
 
-def crash_during_workload(budget_bytes):
-    """Run a deterministic workload that dies after ``budget_bytes`` of
-    device writes; return (sim, raw_device, shadow-of-checkpointed-data)."""
+def crash_during_workload(nth_write, torn_fraction):
+    """Run a deterministic workload whose host crashes during its
+    ``nth_write``-th device write after the first checkpoint, with
+    ``torn_fraction`` of that write landed (rounded down to whole
+    sectors); return (sim, device holding the crash-time media,
+    checkpointed payload) on a fresh machine."""
     sim = Simulator()
     raw = MemoryDevice(sim, 8 * MIB)
     fs = LogStructuredFS(sim, raw, spec=FAST_SPEC, max_inodes=256)
@@ -157,33 +162,37 @@ def crash_during_workload(budget_bytes):
     sim.run_process(fs.checkpoint())
     fs.crash()
 
-    # Phase 2: remount through a crashing device and write more.
-    crashing = CrashingDevice(raw, budget_bytes)
+    # Phase 2: remount through a crashable device and write more.
+    plan = FaultPlan((HostCrash(nth_write=nth_write,
+                                torn_fraction=torn_fraction),))
+    crashing = CrashableDevice(raw, FaultInjector(sim, plan))
     fs2 = LogStructuredFS(sim, crashing, spec=FAST_SPEC, max_inodes=256)
     sim.run_process(fs2.mount())
-    died = False
-    try:
-        def work():
-            yield from fs2.create("/fresh")
-            for index in range(8):
-                yield from fs2.write("/fresh", index * 8 * KIB,
-                                     pattern(8 * KIB, seed=20 + index))
-                yield from fs2.sync()
-            yield from fs2.checkpoint()
 
+    def work():
+        yield from fs2.create("/fresh")
+        for index in range(8):
+            yield from fs2.write("/fresh", index * 8 * KIB,
+                                 pattern(8 * KIB, seed=20 + index))
+            yield from fs2.sync()
+        yield from fs2.checkpoint()
+
+    # Every crash point below lies inside the workload's 11 writes.
+    with pytest.raises(CrashPoint) as crash:
         sim.run_process(work())
-    except PowerFailure:
-        died = True
-    fs2.crash()
-    return sim, raw, payload_a, died
+    sim = Simulator()
+    device = MemoryDevice(sim, 8 * MIB)
+    restore_media(crash.value.snapshot, device)
+    return sim, device, payload_a
 
 
-@pytest.mark.parametrize("budget", [0, 1000, 5000, 20_000, 60_000, 120_000])
-def test_recovery_after_power_failure_at_any_point(budget):
+@pytest.mark.parametrize("nth_write,torn_fraction", [
+    (1, 0.0), (1, 0.5), (4, 0.5), (7, 0.0), (9, 0.25), (11, 0.5)])
+def test_recovery_after_power_failure_at_any_point(nth_write, torn_fraction):
     """Whatever the crash point, mount succeeds and checkpointed data
     is intact; recovered state is a consistent prefix of the workload."""
-    sim, raw, payload_a, _died = crash_during_workload(budget)
-    fs = LogStructuredFS(sim, raw, spec=FAST_SPEC, max_inodes=256)
+    sim, device, payload_a = crash_during_workload(nth_write, torn_fraction)
+    fs = LogStructuredFS(sim, device, spec=FAST_SPEC, max_inodes=256)
     sim.run_process(fs.mount())
     assert sim.run_process(fs.read("/stable", 0, len(payload_a))) == payload_a
     # /fresh either doesn't exist or holds a prefix of the writes.

@@ -73,12 +73,12 @@ def test_simulator_carries_a_registry():
 
 
 def _run_workload():
-    """A small deterministic workload touching several meter kinds."""
-    from repro.sim import BusyMonitor, LatencyMonitor, ThroughputMeter
+    """A small deterministic workload touching every instrument kind."""
+    from repro.sim import BusyMonitor
 
     sim = Simulator()
-    meter = ThroughputMeter(sim, name="stream")
-    latency = LatencyMonitor(sim=sim, name="op")
+    bytes_done = sim.metrics.counter("stream", "bytes_done", unit="B")
+    latency = sim.metrics.histogram("op", "latency")
     busy = BusyMonitor(sim, name="port")
 
     def body():
@@ -86,8 +86,8 @@ def _run_workload():
             busy.enter()
             yield sim.timeout(0.25)
             busy.exit()
-            meter.record(64 * KIB, duration=0.25)
-            latency.record(0.25)
+            bytes_done.inc(64 * KIB)
+            latency.observe(0.25)
             yield sim.timeout(0.05)
 
     sim.run_process(body())

@@ -141,6 +141,44 @@ def test_run_until_stops_clock():
     assert done
 
 
+def test_run_process_stops_when_its_process_triggers():
+    # run_process returns right after the entry that finishes its
+    # process; a later entry of the same instant stays queued, and the
+    # next run() fires it without moving the clock.
+    sim = Simulator()
+    fired = []
+
+    def late():
+        yield sim.timeout(1.0)
+        yield sim.timeout(1.0)  # due at 2.0, queued after body's wake-up
+        fired.append(sim.now)
+
+    def body():
+        yield sim.timeout(2.0)
+        return sim.now
+
+    sim.process(late())
+    assert sim.run_process(body()) == 2.0
+    assert fired == []
+    assert sim.now == 2.0
+    sim.run()
+    assert fired == [2.0]
+    assert sim.now == 2.0
+
+
+def test_failure_inside_run_until_keeps_failing_instant():
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(3.0)
+        raise RuntimeError("boom")
+
+    sim.process(body())
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=10.0)
+    assert sim.now == 3.0
+
+
 def test_run_until_advances_past_empty_queue():
     sim = Simulator()
     assert sim.run(until=7.0) == 7.0

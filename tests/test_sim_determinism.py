@@ -11,7 +11,10 @@ a ``(time, kind, event-type, component)`` tuple.
 from __future__ import annotations
 
 import gc
+import hashlib
 import heapq
+
+import pytest
 
 from repro.sim.core import _KIND_INTERRUPT
 from repro.units import KIB
@@ -53,6 +56,41 @@ def _assert_identical_twice(run):
     assert result_a == result_b
     assert len(trace_a) == len(trace_b)
     assert trace_a == trace_b
+
+
+def _fig5_read():
+    from repro.experiments import fig5_hw_throughput as fig5
+    return fig5._measure("read", 256 * KIB, 4, 101)
+
+
+def _fig5_write():
+    from repro.experiments import fig5_hw_throughput as fig5
+    return fig5._measure("write", 256 * KIB, 4, 202)
+
+
+def _table2_raid2():
+    from repro.experiments import table2_small_io as table2
+    return table2._raid2_rate(4, 6, 42)
+
+
+#: Fingerprints recorded before the dispatch loop was collapsed into
+#: one: (workload, first 16 hex digits of sha256(repr((result, trace))),
+#: heap pushes).  A kernel change that reorders, adds or drops a single
+#: scheduling action, or moves a result by one ULP, changes the digest.
+GOLDEN = [
+    (_fig5_read, "d864e62bc1f00a46", 649),
+    (_fig5_write, "edae6338a4ffee94", 1254),
+    (_table2_raid2, "0bdb5caade322875", 632),
+]
+
+
+@pytest.mark.parametrize("run,digest,pushes", GOLDEN,
+                         ids=[run.__name__.lstrip("_") for run, *_ in GOLDEN])
+def test_fingerprint_matches_recorded_digest(run, digest, pushes):
+    result, trace = _traced(run)
+    assert len(trace) == pushes
+    assert hashlib.sha256(
+        repr((result, trace)).encode()).hexdigest()[:16] == digest
 
 
 def test_fig5_trace_identical_across_fresh_simulators():

@@ -1,122 +1,9 @@
-"""Unit tests for measurement monitors."""
+"""Unit tests for the busy-time monitor."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import BusyMonitor, LatencyMonitor, Simulator, ThroughputMeter
-from repro.units import MB
-
-
-def test_throughput_meter_mb_per_s():
-    sim = Simulator()
-    meter = ThroughputMeter(sim)
-
-    def body():
-        meter.start()
-        yield sim.timeout(2.0)
-        meter.record(10 * MB)
-
-    sim.run_process(body())
-    assert meter.mb_per_s == pytest.approx(5.0)
-    assert meter.ios_per_s == pytest.approx(0.5)
-    assert meter.bytes_done == 10 * MB
-
-
-def test_throughput_meter_requires_samples():
-    meter = ThroughputMeter(Simulator())
-    with pytest.raises(SimulationError):
-        _ = meter.elapsed
-
-
-def test_throughput_meter_autostarts_on_first_record():
-    sim = Simulator()
-    meter = ThroughputMeter(sim)
-
-    def body():
-        yield sim.timeout(1.0)
-        meter.record(MB)
-        yield sim.timeout(1.0)
-        meter.record(MB)
-
-    sim.run_process(body())
-    assert meter.elapsed == pytest.approx(1.0)
-
-
-def test_throughput_meter_zero_window_without_duration():
-    # A single record in a zero-width window has no rate to report:
-    # the meter answers a clear 0.0 (ZeroWindow), never float('inf').
-    from repro.sim.monitor import ZeroWindow
-
-    sim = Simulator()
-    meter = ThroughputMeter(sim)
-    meter.record(10 * MB)
-    assert meter.elapsed == 0.0
-    rate = meter.mb_per_s
-    assert isinstance(rate, ZeroWindow)
-    assert rate == 0.0
-    assert not (rate == float("inf"))
-    assert isinstance(meter.ios_per_s, ZeroWindow)
-
-
-def test_throughput_meter_zero_window_uses_op_duration():
-    # When the operation reports its own service time the meter can
-    # still produce a meaningful rate from a single record.
-    sim = Simulator()
-    meter = ThroughputMeter(sim)
-    meter.record(10 * MB, duration=2.0)
-    assert meter.elapsed == 0.0
-    assert meter.mb_per_s == pytest.approx(5.0)
-    assert meter.ios_per_s == pytest.approx(0.5)
-
-
-def test_throughput_meter_elapsed_window_wins_over_duration():
-    sim = Simulator()
-    meter = ThroughputMeter(sim)
-
-    def body():
-        meter.start()
-        yield sim.timeout(2.0)
-        meter.record(10 * MB, duration=0.5)
-
-    sim.run_process(body())
-    assert meter.mb_per_s == pytest.approx(5.0)
-
-
-def test_latency_monitor_stats():
-    mon = LatencyMonitor()
-    for value in (0.01, 0.03, 0.02, 0.04):
-        mon.record(value)
-    assert len(mon) == 4
-    assert mon.mean == pytest.approx(0.025)
-    assert mon.maximum == pytest.approx(0.04)
-    assert mon.percentile(50) == pytest.approx(0.02)
-    assert mon.percentile(100) == pytest.approx(0.04)
-    assert mon.percentile(0) == pytest.approx(0.01)
-
-
-def test_latency_monitor_rejects_negative():
-    mon = LatencyMonitor()
-    with pytest.raises(SimulationError):
-        mon.record(-1.0)
-
-
-def test_latency_monitor_empty_rejected():
-    mon = LatencyMonitor()
-    with pytest.raises(SimulationError):
-        _ = mon.mean
-    with pytest.raises(SimulationError):
-        mon.percentile(50)
-
-
-def test_latency_monitor_single_sample_percentiles():
-    # Nearest-rank on one sample: every percentile is that sample.
-    mon = LatencyMonitor()
-    mon.record(0.042)
-    assert mon.percentile(0) == pytest.approx(0.042)
-    assert mon.percentile(50) == pytest.approx(0.042)
-    assert mon.percentile(100) == pytest.approx(0.042)
-    assert mon.mean == pytest.approx(0.042)
-    assert mon.maximum == pytest.approx(0.042)
+from repro.sim import BusyMonitor, Simulator
 
 
 def test_busy_monitor_tracks_utilization():

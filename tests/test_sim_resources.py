@@ -1,9 +1,9 @@
-"""Unit tests for resources, stores and bandwidth channels."""
+"""Unit tests for resources and bandwidth channels."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import BandwidthChannel, PriorityResource, Resource, Simulator, Store
+from repro.sim import BandwidthChannel, Resource, Simulator
 from repro.units import MB
 
 
@@ -82,158 +82,8 @@ def test_resource_queue_length():
     sim.process(waiter())
     sim.run(until=1.0)
     assert res.queue_length == 2
-    assert res.in_use == 1
     sim.run()
     assert res.queue_length == 0
-
-
-def test_resource_locked_helper():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def body():
-        with (yield from res.locked()):
-            assert res.in_use == 1
-            yield sim.timeout(1.0)
-        return res.in_use
-
-    assert sim.run_process(body()) == 0
-
-
-# ---------------------------------------------------------------------------
-# PriorityResource
-# ---------------------------------------------------------------------------
-
-def test_priority_resource_serves_lowest_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    granted = []
-
-    def holder():
-        yield res.acquire(priority=0)
-        yield sim.timeout(5.0)
-        res.release()
-
-    def user(tag, priority, delay):
-        yield sim.timeout(delay)
-        yield res.acquire(priority=priority)
-        granted.append(tag)
-        res.release()
-
-    sim.process(holder())
-    sim.process(user("low", priority=9, delay=1.0))
-    sim.process(user("high", priority=1, delay=2.0))
-    sim.process(user("mid", priority=5, delay=3.0))
-    sim.run()
-    assert granted == ["high", "mid", "low"]
-
-
-def test_priority_resource_ties_are_fifo():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    granted = []
-
-    def holder():
-        yield res.acquire()
-        yield sim.timeout(5.0)
-        res.release()
-
-    def user(tag):
-        yield sim.timeout(1.0)
-        yield res.acquire(priority=3)
-        granted.append(tag)
-        res.release()
-
-    sim.process(holder())
-    for tag in range(4):
-        sim.process(user(tag))
-    sim.run()
-    assert granted == [0, 1, 2, 3]
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-
-    def body():
-        yield store.put("x")
-        item = yield store.get()
-        return item
-
-    assert sim.run_process(body()) == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-
-    def producer():
-        yield sim.timeout(3.0)
-        yield store.put("late")
-
-    def consumer():
-        item = yield store.get()
-        return item, sim.now
-
-    sim.process(producer())
-    assert sim.run_process(consumer()) == ("late", 3.0)
-
-
-def test_store_is_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer():
-        for i in range(4):
-            yield store.put(i)
-
-    def consumer():
-        for _ in range(4):
-            item = yield store.get()
-            got.append(item)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert got == [0, 1, 2, 3]
-
-
-def test_bounded_store_blocks_putter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put("a")
-        times.append(("a", sim.now))
-        yield store.put("b")
-        times.append(("b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        yield store.get()
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [("a", 0.0), ("b", 5.0)]
-
-
-def test_store_len():
-    sim = Simulator()
-    store = Store(sim)
-
-    def body():
-        yield store.put(1)
-        yield store.put(2)
-        return len(store)
-
-    assert sim.run_process(body()) == 2
 
 
 # ---------------------------------------------------------------------------
