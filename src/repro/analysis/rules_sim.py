@@ -9,8 +9,8 @@ The event kernel's contract is easy to violate silently:
   ``sim.timeout()``...) used as a bare statement is never waited on;
 * wall-clock time or the global ``random`` module leaks host
   non-determinism into simulated time;
-* a bare ``except:`` swallows :class:`repro.errors.SimulationError`
-  (and ``Interrupt``), hiding kernel misuse;
+* a bare ``except:`` swallows :class:`repro.errors.SimulationError`,
+  hiding kernel misuse;
 * a stray ``bytes(...)``/slice copy on the data path silently undoes
   the zero-copy discipline (payloads are threaded as ``memoryview``
   slices and copied only at the durability boundary);
@@ -31,7 +31,7 @@ from repro.analysis.lint import (Finding, LintRule, Project, SourceFile,
 #: Methods that return an Event the caller must wait on.  These come
 #: from the kernel API (Simulator/Resource), so they cannot be
 #: discovered by the generator scan.
-EVENT_RETURNING = {"acquire", "timeout", "all_of", "any_of"}
+EVENT_RETURNING = {"acquire", "timeout", "all_of"}
 
 #: Generator-named calls that are legitimately dropped: spawning a
 #: process is fire-and-forget by design.
@@ -144,8 +144,7 @@ class SwallowedSimulationError(LintRule):
     """SIM003: a broad except that can swallow SimulationError."""
 
     code = "SIM003"
-    description = ("bare/broad except swallows SimulationError "
-                   "and Interrupt")
+    description = "bare/broad except swallows SimulationError"
 
     def check(self, source: SourceFile,
               project: Project) -> Iterator[Finding]:
@@ -160,7 +159,7 @@ class SwallowedSimulationError(LintRule):
                 "broad except swallowing the exception"
             yield self.finding(
                 source, node,
-                f"{label} — SimulationError/Interrupt disappear here; "
+                f"{label} — SimulationError disappears here; "
                 "catch specific errors or re-raise")
 
 

@@ -27,8 +27,9 @@ class TransientDiskError(HardwareError):
     """A retryable SCSI-level error (bus glitch, recovered command).
 
     Raised by fault injection on a drive that is otherwise healthy; a
-    retry of the same operation is expected to succeed, so the Cougar
-    and RAID layers absorb these with retry-with-backoff policies.
+    retry of the same operation is expected to succeed.  The RAID
+    layer's one retry loop absorbs these with a few quick retries
+    under a doubling backoff, then reconstructs through redundancy.
     """
 
     def __init__(self, disk_name: str, op: str = "io"):
@@ -50,11 +51,6 @@ class MediumError(HardwareError):
         super().__init__(f"medium error on disk {disk_name} at lba {lba}")
         self.disk_name = disk_name
         self.lba = lba
-
-
-class OpTimeoutError(HardwareError):
-    """A controller-level per-operation timeout expired and every retry
-    allowed by the policy was exhausted."""
 
 
 class CrashPoint(ReproError):

@@ -5,11 +5,12 @@ package makes the failures first-class and reproducible.  A
 :class:`FaultPlan` declares fault events against the sim clock
 (whole-disk death, transient SCSI errors, latent sector errors, link
 stalls, a simulated host crash); a :class:`FaultInjector` arms the plan
-on the hardware models via pull-style hooks; :class:`RetryPolicy`
-configures the Cougar/RAID healing layers; and the crash-point
+on the hardware models via pull-style hooks; and the crash-point
 machinery (:class:`CrashableDevice`, :func:`snapshot_media`,
 :func:`restore_media`) halts an LFS mid-write and remounts from the
-snapshotted media.
+snapshotted media.  Healing is not configured here: the RAID layer's
+one retry loop absorbs transient errors with a fixed number of quick
+retries, then serves the data through redundancy.
 
 Design rule: injection is *pulled* at each operation, never scheduled
 — an armed empty plan is bit-identical (in the determinism
@@ -23,11 +24,9 @@ from repro.faults.crash import (CrashableDevice, MediaSnapshot,
 from repro.faults.inject import FaultInjector, attach_array, attach_server
 from repro.faults.plan import (DiskDeath, FaultPlan, HostCrash,
                                LatentSectorError, LinkStall, TransientFault)
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "CrashableDevice",
-    "DEFAULT_RETRY_POLICY",
     "DiskDeath",
     "FaultInjector",
     "FaultPlan",
@@ -35,7 +34,6 @@ __all__ = [
     "LatentSectorError",
     "LinkStall",
     "MediaSnapshot",
-    "RetryPolicy",
     "TransientFault",
     "attach_array",
     "attach_server",

@@ -15,7 +15,7 @@ Event catalogue (the plan schema):
                       I/O it sees at or after ``at_s``
 :class:`TransientFault`
                       ``count`` retryable SCSI errors on the first ops at
-                      or after ``at_s`` (heal under retry policies)
+                      or after ``at_s`` (healed by the RAID retry loop)
 :class:`LatentSectorError`
                       persistent medium error over an LBA extent; reads
                       fail until the extent is rewritten

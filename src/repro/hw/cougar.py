@@ -15,14 +15,12 @@ drive's buffer and the controller's FIFOs.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import HardwareError, OpTimeoutError, TransientDiskError
-from repro.faults.retry import RetryPolicy
+from repro.errors import HardwareError
 from repro.hw.disk import DiskDrive
 from repro.hw.specs import (COUGAR_SPEC, SCSI_STRING_SPEC, CougarSpec,
                             ScsiStringSpec)
 from repro.hw.scsi import ScsiString
+from repro.obs.metrics import counter_view
 from repro.sim import BandwidthChannel, Simulator
 from repro.units import SECTOR_SIZE
 
@@ -30,17 +28,20 @@ from repro.units import SECTOR_SIZE
 class CougarController:
     """One Cougar board: two SCSI strings sharing a controller channel."""
 
+    #: Controller-level retries: always 0.  A failing leg fails the
+    #: whole operation and the RAID layer's one retry loop handles it;
+    #: the attribute stays for readers of the old counter (the
+    #: benchmark's ``cougar.retries`` per-layer metric).
+    retries = 0
+
+    contention_events = counter_view("_m_contention_events")
+
     def __init__(self, sim: Simulator, spec: CougarSpec = COUGAR_SPEC,
                  string_spec: ScsiStringSpec = SCSI_STRING_SPEC,
-                 name: str = "cougar",
-                 retry: Optional[RetryPolicy] = None):
+                 name: str = "cougar"):
         self.sim = sim
         self.spec = spec
         self.name = name
-        #: Retry/deadline policy for whole disk-to-VME operations.
-        #: ``None`` (the default) disables controller-level retries —
-        #: the legs then run exactly as a policy-free build would.
-        self.retry = retry
         self.channel = BandwidthChannel(
             sim, rate_mb_s=spec.rate_mb_s,
             per_transfer_overhead=spec.per_transfer_overhead_s,
@@ -49,11 +50,8 @@ class CougarController:
             ScsiString(sim, string_spec, name=f"{name}.s{index}")
             for index in range(spec.strings)
         ]
-        self.contention_events = 0
-        self.retries = 0
-        self.op_timeouts = 0
-        self._m_retries = sim.metrics.counter(name, "retries")
-        self._m_op_timeouts = sim.metrics.counter(name, "op_timeouts")
+        self._m_contention_events = sim.metrics.counter(
+            name, "contention_events")
         #: Operations currently in flight per string (indexed like
         #: ``strings``); used for the dual-string contention check.
         self._inflight = [0] * spec.strings
@@ -81,7 +79,7 @@ class CougarController:
         charged up front, before the data legs, so it extends the
         operation's critical path."""
         if self._other_string_busy(string):
-            self.contention_events += 1
+            self._m_contention_events.inc()
             yield self.sim.timeout(self.spec.dual_string_penalty_s)
         return None
 
@@ -90,60 +88,18 @@ class CougarController:
         with self.sim.tracer.span("cougar.bus", self.name, nbytes=nbytes):
             yield from self.channel.transfer(nbytes)
 
-    # ------------------------------------------------------------------
-    # retry machinery
-    # ------------------------------------------------------------------
-    def _run_attempts(self, index: int, spawn_legs):
-        """Process: run ``spawn_legs()`` under the retry policy.
-
-        ``spawn_legs`` creates and returns the operation's concurrent
-        leg processes; the attempt's value is the ``all_of`` value list
-        in spawn order.  With no policy this is a plain join — same
-        events, same order, same fingerprint as a retry-free build.
-        """
-        policy = self.retry
+    def _join(self, string: ScsiString, legs: list):
+        """Process: wait for an operation's concurrent legs, counted in
+        flight on ``string`` meanwhile; returns their values in order.
+        A failing leg (a transient error, a dead drive) fails the
+        operation at once."""
+        index = self.strings.index(string)
         self._inflight[index] += 1
         try:
-            if policy is None:
-                values = yield self.sim.all_of(spawn_legs())
-                return values
-            backoff = policy.backoff_s
-            for attempt in range(1, policy.max_attempts + 1):
-                last = attempt == policy.max_attempts
-                try:
-                    values = yield from self._one_attempt(spawn_legs)
-                    return values
-                except TransientDiskError:
-                    self.retries += 1
-                    self._m_retries.inc()
-                    if last:
-                        raise
-                except OpTimeoutError:
-                    if last:
-                        raise
-                yield self.sim.timeout(backoff)
-                backoff *= policy.backoff_factor
+            values = yield self.sim.all_of(legs)
         finally:
             self._inflight[index] -= 1
-
-    def _one_attempt(self, spawn_legs):
-        """Process: one attempt, abandoned at the policy's deadline."""
-        legs = spawn_legs()
-        joined = self.sim.all_of(legs)
-        if self.retry.op_timeout_s is None:
-            values = yield joined
-            return values
-        deadline = self.sim.timeout(self.retry.op_timeout_s)
-        yield self.sim.any_of([joined, deadline])
-        if joined.processed:
-            return joined.value
-        self.op_timeouts += 1
-        self._m_op_timeouts.inc()
-        for leg in legs:
-            if leg.is_alive:
-                leg.interrupt("cougar op timeout")
-        raise OpTimeoutError(
-            f"{self.name}: op exceeded {self.retry.op_timeout_s}s")
+        return values
 
     # ------------------------------------------------------------------
     def read(self, disk: DiskDrive, lba: int, nsectors: int):
@@ -155,42 +111,34 @@ class CougarController:
         finishes.
         """
         string = self.string_of(disk)
-        index = self.strings.index(string)
         nbytes = nsectors * SECTOR_SIZE
-
-        def spawn_legs():
-            read_proc = self.sim.process(disk.read(lba, nsectors),
-                                         name=f"{disk.name}.read")
-            string_proc = self.sim.process(string.transfer(nbytes),
-                                           name=f"{string.name}.xfer")
-            ctrl_proc = self.sim.process(
-                self._controller_transfer(string, nbytes),
-                name=f"{self.name}.xfer")
-            return [read_proc, string_proc, ctrl_proc]
-
         with self.sim.tracer.span("cougar.read", self.name, nbytes=nbytes):
             yield from self._dual_string_delay(string)
-            values = yield from self._run_attempts(index, spawn_legs)
+            legs = [
+                self.sim.process(disk.read(lba, nsectors),
+                                 name=f"{disk.name}.read"),
+                self.sim.process(string.transfer(nbytes),
+                                 name=f"{string.name}.xfer"),
+                self.sim.process(self._controller_transfer(string, nbytes),
+                                 name=f"{self.name}.xfer"),
+            ]
+            values = yield from self._join(string, legs)
             return values[0]
 
     def write(self, disk: DiskDrive, lba: int, data: bytes):
         """Process: write ``data`` to ``disk`` down through the controller."""
         string = self.string_of(disk)
-        index = self.strings.index(string)
-
-        def spawn_legs():
-            write_proc = self.sim.process(disk.write(lba, data),
-                                          name=f"{disk.name}.write")
-            string_proc = self.sim.process(
-                string.transfer(len(data), write=True),
-                name=f"{string.name}.xfer")
-            ctrl_proc = self.sim.process(
-                self._controller_transfer(string, len(data)),
-                name=f"{self.name}.xfer")
-            return [write_proc, string_proc, ctrl_proc]
-
         with self.sim.tracer.span("cougar.write", self.name,
                                   nbytes=len(data)):
             yield from self._dual_string_delay(string)
-            yield from self._run_attempts(index, spawn_legs)
+            legs = [
+                self.sim.process(disk.write(lba, data),
+                                 name=f"{disk.name}.write"),
+                self.sim.process(string.transfer(len(data), write=True),
+                                 name=f"{string.name}.xfer"),
+                self.sim.process(
+                    self._controller_transfer(string, len(data)),
+                    name=f"{self.name}.xfer"),
+            ]
+            yield from self._join(string, legs)
             return None

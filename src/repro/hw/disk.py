@@ -47,6 +47,10 @@ class DiskDrive:
         #: sequential-access detection.
         self._last: Optional[tuple[str, int]] = None
         self.failed = False
+        #: Set by :meth:`repair`: the drive is a replacement whose
+        #: contents no rebuild has vouched for yet.  RAID treats every
+        #: row of it as unavailable until a rebuild starts.
+        self.replacement = False
         #: Optional fault-injection hook (see repro.faults.inject);
         #: consulted at the start of every timed operation.
         self.faults = None
@@ -95,8 +99,13 @@ class DiskDrive:
         self.failed = True
 
     def repair(self, wipe: bool = True) -> None:
-        """Bring a replacement drive online (empty unless ``wipe=False``)."""
+        """Bring a replacement drive online (empty unless ``wipe=False``).
+
+        The drive is flagged as a :attr:`replacement` until a RAID
+        rebuild starts on it.
+        """
         self.failed = False
+        self.replacement = True
         if wipe:
             self._store.clear()
             self._bad_sectors.clear()

@@ -114,7 +114,7 @@ class XbusBoard:
     def __init__(self, sim: Simulator, config: XbusConfig = XbusConfig(),
                  cougar_spec: CougarSpec = COUGAR_SPEC,
                  string_spec: ScsiStringSpec = SCSI_STRING_SPEC,
-                 name: str = "xbus", retry=None):
+                 name: str = "xbus"):
         if not 1 <= config.data_cougars <= 4:
             raise HardwareError(
                 f"an XBUS board has four VME data ports; "
@@ -136,14 +136,14 @@ class XbusBoard:
         for index in range(config.data_cougars):
             port = VmePort(sim, VME_DATA_PORT_SPEC, name=f"{name}.vme{index}")
             cougar = CougarController(sim, cougar_spec, string_spec,
-                                      name=f"{name}.c{index}", retry=retry)
+                                      name=f"{name}.c{index}")
             self.data_ports.append(port)
             self.cougars.append(cougar)
             self._cougar_port[id(cougar)] = port
         if config.control_cougar:
             cougar = CougarController(
                 sim, cougar_spec, string_spec,
-                name=f"{name}.c{config.data_cougars}", retry=retry)
+                name=f"{name}.c{config.data_cougars}")
             self.cougars.append(cougar)
             self._cougar_port[id(cougar)] = self.control_port
 

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from repro.errors import SimulationError
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_LATENCY_BUCKETS"]
+           "DEFAULT_LATENCY_BUCKETS", "counter_view"]
 
 #: Fixed latency buckets (seconds): 10 µs to ~100 s, roughly one
 #: bucket per half-decade, matching the spread between a single
@@ -52,6 +52,15 @@ class Counter:
 
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value, "unit": self.unit}
+
+
+def counter_view(attr: str) -> property:
+    """A read-only attribute over the registry counter held in ``attr``.
+
+    Components keep their counters only in the registry and expose each
+    one under its plain name through this view.
+    """
+    return property(lambda self: getattr(self, attr).value)
 
 
 class Gauge:

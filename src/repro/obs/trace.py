@@ -155,8 +155,8 @@ class Tracer:
         The wrapper captures the spawner's current span now (at spawn
         time) and installs it as the child's context around every
         resume, saving and restoring whatever context the interleaved
-        neighbour processes had.  It forwards sends, throws (Interrupt
-        delivery, close) and the return value unchanged, and performs
+        neighbour processes had.  It forwards sends, throws (failed
+        events, close) and the return value unchanged, and performs
         no scheduling of its own.
 
         This must be a plain function: a generator's body runs only at

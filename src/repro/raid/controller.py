@@ -23,11 +23,13 @@ The redundant levels share one copy of each piece of failure handling,
 kept on :class:`_BaseController`:
 
 * **one retry loop** (:meth:`_BaseController._retrying`) under every
-  unit read and write; each level adds only its fallback (the mirror,
-  reconstruction, or heal-by-rewrite);
+  unit read and write — the stack's only transient-error retry, with a
+  fixed :data:`RETRY_ATTEMPTS` and doubling backoff; each level adds
+  only its fallback (the mirror, reconstruction, or heal-by-rewrite);
 * **one trust predicate** (:meth:`_BaseController.unavailable`): a
-  disk's copy of a row is unavailable when the disk failed or the row
-  lies at or past the disk's rebuild frontier;
+  disk's copy of a row is unavailable when the disk failed, is a
+  replacement no rebuild has reached yet, or the row lies at or past
+  the disk's rebuild frontier;
 * **one rebuild engine** (:meth:`_BaseController.rebuild`): it walks a
   replaced disk from row 0, advancing a frontier behind which the disk
   is trusted again.  Each level supplies its reconstruct step (XOR of
@@ -49,12 +51,19 @@ import numpy as np
 
 from repro.errors import (DiskFailedError, MediumError, RaidError,
                           TransientDiskError, UnrecoverableArrayError)
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.hw.parity import xor_blocks
+from repro.obs.metrics import counter_view
 from repro.raid.layout import (Piece, Raid0Layout, Raid1Layout, Raid3Layout,
                                Raid5Layout, _StripedLayout)
 from repro.sim import Resource, Simulator
-from repro.units import SECTOR_SIZE
+from repro.units import MS, SECTOR_SIZE
+
+#: Attempts per unit read or write (first try included) before a
+#: transient error falls through to redundancy: "a few quick retries,
+#: then reconstruction".
+RETRY_ATTEMPTS = 4
+#: Delay before the first retry; it doubles before each later one.
+RETRY_BACKOFF_S = 2.0 * MS
 
 
 class InstantParity:
@@ -65,25 +74,19 @@ class InstantParity:
         yield  # pragma: no cover - makes this a generator
 
 
-def _counter_view(attr: str) -> property:
-    """A read-only attribute over the registry counter held in ``attr``."""
-    return property(lambda self: getattr(self, attr).value)
-
-
 class _BaseController:
     """Mapping, assembly and shared plumbing for all RAID levels."""
 
     #: Rows one rebuild step reconstructs under one hold of its lock.
     _rebuild_chunk_rows = 1
 
-    degraded_reads = _counter_view("_m_degraded_reads")
-    degraded_writes = _counter_view("_m_degraded_writes")
-    media_error_heals = _counter_view("_m_media_error_heals")
-    transient_retries = _counter_view("_m_transient_retries")
+    degraded_reads = counter_view("_m_degraded_reads")
+    degraded_writes = counter_view("_m_degraded_writes")
+    media_error_heals = counter_view("_m_media_error_heals")
+    transient_retries = counter_view("_m_transient_retries")
 
     def __init__(self, sim: Simulator, paths: Sequence, layout: _StripedLayout,
-                 name: str = "raid",
-                 retry: Optional[RetryPolicy] = None):
+                 name: str = "raid"):
         if len(paths) != layout.num_disks:
             raise RaidError(
                 f"layout expects {layout.num_disks} disks, got {len(paths)}")
@@ -91,8 +94,6 @@ class _BaseController:
         self.paths = list(paths)
         self.layout = layout
         self.name = name
-        #: Transient-error retry policy (None disables retries).
-        self.retry = retry
         self._row_locks: dict[int, Resource] = {}
         #: disk index -> first row NOT yet rebuilt.  A replaced disk is
         #: blank, not failed: rows at or past its frontier are treated
@@ -118,8 +119,10 @@ class _BaseController:
     def unavailable(self, disk: int, row: int) -> bool:
         """True when ``disk``'s copy of ``row`` cannot be trusted: the
         disk failed, or it is a replacement whose rebuild has not
-        reached that row."""
-        if self.paths[disk].disk.failed:
+        reached that row (a replacement no rebuild has started on
+        counts as a frontier at row 0)."""
+        drive = self.paths[disk].disk
+        if drive.failed or drive.replacement:
             return True
         frontier = self._rebuild_frontier.get(disk)
         return frontier is not None and row >= frontier
@@ -201,25 +204,24 @@ class _BaseController:
     def _retrying(self, io, *args):
         """Process: run ``io(*args)``, retrying transient errors.
 
-        The one retry loop of the controllers: each attempt is a fresh
-        ``io`` generator, spaced by the policy's backoff.  The last
-        ``TransientDiskError`` propagates, as do hard errors
-        (``DiskFailedError``, ``MediumError``) at once, for the caller
-        to route through redundancy.
+        The one transient-error retry of the whole stack: each of the
+        :data:`RETRY_ATTEMPTS` attempts is a fresh ``io`` generator, and
+        the gap between them starts at :data:`RETRY_BACKOFF_S` and
+        doubles.  The last ``TransientDiskError`` propagates, as do hard
+        errors (``DiskFailedError``, ``MediumError``) at once, for the
+        caller to route through redundancy.
         """
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        backoff = policy.backoff_s if policy is not None else 0.0
-        for attempt in range(1, attempts + 1):
+        backoff = RETRY_BACKOFF_S
+        for attempt in range(1, RETRY_ATTEMPTS + 1):
             try:
                 result = yield from io(*args)
                 return result
             except TransientDiskError:
                 self._m_transient_retries.inc()
-                if attempt == attempts:
+                if attempt == RETRY_ATTEMPTS:
                     raise
             yield self.sim.timeout(backoff)
-            backoff *= policy.backoff_factor
+            backoff *= 2.0
 
     def _read_unit(self, disk: int, lba: int, nsectors: int):
         """Process: one unit read, retrying transient errors."""
@@ -278,6 +280,7 @@ class _BaseController:
         rows = self.layout.rows if max_rows is None else min(
             self.layout.rows, max_rows)
         self._rebuild_frontier[disk_index] = 0
+        self.paths[disk_index].disk.replacement = False
         with self.sim.tracer.span("raid.rebuild", self.name,
                                   disk=disk_index, rows=rows):
             row = 0
@@ -352,11 +355,10 @@ class Raid1Controller(_BaseController):
     """Mirrored striping; reads alternate between the two copies."""
 
     def __init__(self, sim: Simulator, paths: Sequence,
-                 stripe_unit_bytes: int, name: str = "raid1",
-                 retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY):
+                 stripe_unit_bytes: int, name: str = "raid1"):
         capacity = min(path.disk.spec.capacity_bytes for path in paths)
         layout = Raid1Layout(len(paths), stripe_unit_bytes, capacity)
-        super().__init__(sim, paths, layout, name, retry=retry)
+        super().__init__(sim, paths, layout, name)
         self._layout1 = layout
         self._toggle = 0
 
@@ -435,17 +437,16 @@ class Raid1Controller(_BaseController):
 class Raid5Controller(_BaseController):
     """Left-symmetric RAID 5 over one parity group."""
 
-    full_stripe_writes = _counter_view("_m_full_stripe_writes")
-    rmw_writes = _counter_view("_m_rmw_writes")
-    reconstruct_writes = _counter_view("_m_reconstruct_writes")
+    full_stripe_writes = counter_view("_m_full_stripe_writes")
+    rmw_writes = counter_view("_m_rmw_writes")
+    reconstruct_writes = counter_view("_m_reconstruct_writes")
 
     def __init__(self, sim: Simulator, paths: Sequence,
                  stripe_unit_bytes: int, parity_computer=None,
-                 name: str = "raid5",
-                 retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY):
+                 name: str = "raid5"):
         capacity = min(path.disk.spec.capacity_bytes for path in paths)
         layout = Raid5Layout(len(paths), stripe_unit_bytes, capacity)
-        super().__init__(sim, paths, layout, name, retry=retry)
+        super().__init__(sim, paths, layout, name)
         self._layout5 = layout
         self.parity = parity_computer if parity_computer is not None \
             else InstantParity()
@@ -802,11 +803,10 @@ class Raid3Controller(_BaseController):
     _rebuild_chunk_rows = 128
 
     def __init__(self, sim: Simulator, paths: Sequence,
-                 parity_computer=None, name: str = "raid3",
-                 retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY):
+                 parity_computer=None, name: str = "raid3"):
         capacity = min(path.disk.spec.capacity_bytes for path in paths)
         layout = Raid3Layout(len(paths), capacity)
-        super().__init__(sim, paths, layout, name, retry=retry)
+        super().__init__(sim, paths, layout, name)
         self._layout3 = layout
         self.parity = parity_computer if parity_computer is not None \
             else InstantParity()

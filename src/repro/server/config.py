@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.hw.specs import IBM_0661, LFS_SPEC, DiskSpec, LfsSpec
 from repro.hw.xbus_board import XbusConfig
 from repro.units import KIB
@@ -22,10 +21,6 @@ class Raid2Config:
     stripe_unit_bytes: int = 64 * KIB
     lfs: LfsSpec = LFS_SPEC
     max_inodes: int = 1024
-    #: Transient-error healing for the RAID layer (and, when its
-    #: ``op_timeout_s`` is set, the Cougar controllers).  None disables
-    #: retries entirely.
-    retry: Optional[RetryPolicy] = DEFAULT_RETRY_POLICY
 
     # ------------------------------------------------------------------
     # presets matching the paper's experimental setups

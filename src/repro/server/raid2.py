@@ -71,8 +71,7 @@ class Raid2Server:
         self.host = Workstation(sim, SUN_4_280_RAID2, name=f"{name}.host")
         self.ethernet = Ethernet(sim, name=f"{name}.ether")
         self.boards = [
-            XbusBoard(sim, self.config.xbus, name=f"{name}.xbus{index}",
-                      retry=self.config.retry)
+            XbusBoard(sim, self.config.xbus, name=f"{name}.xbus{index}")
             for index in range(self.config.boards)
         ]
         # RAID 5 needs at least three disks; configurations that use
@@ -84,8 +83,7 @@ class Raid2Server:
                     sim, board.disk_paths(limit=self.config.disks_used),
                     self.config.stripe_unit_bytes,
                     parity_computer=XbusParity(board),
-                    name=f"{name}.raid{index}",
-                    retry=self.config.retry)
+                    name=f"{name}.raid{index}")
                 for index, board in enumerate(self.boards)
             ]
         self.filesystems: list[LogStructuredFS] = []

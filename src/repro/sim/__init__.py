@@ -9,18 +9,16 @@ The rest of the package builds every hardware model (disks, buses, the
 XBUS crossbar, networks, hosts) on top of these primitives.
 """
 
-from repro.sim.core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
+from repro.sim.core import AllOf, Event, Process, Simulator, Timeout
 from repro.sim.channel import BandwidthChannel
 from repro.sim.monitor import BusyMonitor
 from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "BandwidthChannel",
     "BusyMonitor",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "Simulator",

@@ -31,9 +31,6 @@ so comparisons never reach ``obj``.  Kinds:
 * ``_KIND_START`` (1): ``obj`` is a :class:`Process`; run its first step.
   This replaces the old per-process bootstrap :class:`Event` while
   consuming the same single sequence number.
-* ``_KIND_INTERRUPT`` (2): ``obj`` is ``(process, exc)``; throw ``exc``
-  into the process unless it already completed at this same instant.
-  This replaces the old per-interrupt "poke" :class:`Event`.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ _UNSET = object()
 
 _KIND_FIRE = 0
 _KIND_START = 1
-_KIND_INTERRUPT = 2
 
 SimGenerator = Generator["Event", Any, Any]
 
@@ -153,14 +149,6 @@ class Timeout(Event):
         sim._enqueue(delay, self)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running simulation activity wrapping a generator.
 
@@ -169,7 +157,7 @@ class Process(Event):
     the event.
     """
 
-    __slots__ = ("_generator", "name", "_waiting_on")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, sim: "Simulator", generator: SimGenerator,
                  name: str = ""):
@@ -179,36 +167,10 @@ class Process(Event):
                 f"process body must be a generator, got {generator!r}")
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         # Kick off at the current instant: scheduled directly on the
         # heap (no bootstrap Event), drawing one sequence number exactly
         # as the bootstrap's succeed() used to.
         sim._enqueue(0.0, self, _KIND_START)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _UNSET or self._exc is not None:
-            return
-        target = self._waiting_on
-        if target is not None and not target._processed:
-            # Stop listening to whatever we were waiting for.
-            if target._waiter is self:
-                target._waiter = None
-            elif target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        # Delivery is deferred via the heap (one sequence number, like
-        # the old poke event); the dispatcher re-checks that the process
-        # is still alive, so an interrupt racing with completion at the
-        # same instant is a no-op instead of a throw into an exhausted
-        # generator.
-        self.sim._enqueue(0.0, (self, Interrupt(cause)), _KIND_INTERRUPT)
 
     # -- internal ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -221,7 +183,6 @@ class Process(Event):
             self._step(event._value)
 
     def _step(self, send: Any = None, throw: Optional[BaseException] = None):
-        self._waiting_on = None
         generator = self._generator
         while True:
             try:
@@ -249,7 +210,6 @@ class Process(Event):
                 else:
                     send = target._value
                 continue
-            self._waiting_on = target
             if target._waiter is None and not target.callbacks:
                 # Sole waiter: resumed directly by the dispatch loop, no list.
                 target._waiter = self
@@ -267,8 +227,8 @@ class Process(Event):
             self.sim._crash(exc)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every constituent event has fired; value is their values."""
 
     __slots__ = ("_events", "_pending")
 
@@ -286,15 +246,6 @@ class _Condition(Event):
             event.add_callback(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired; value is their values."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self._value is not _UNSET or self._exc is not None:
             return
         if event._exc is not None:
@@ -303,20 +254,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([ev._value for ev in self._events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first constituent event fires; value is that value."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _UNSET or self._exc is not None:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-        else:
-            self.succeed(event._value)
 
 
 class Simulator:
@@ -370,9 +307,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def _enqueue(self, delay: float, obj: Any, kind: int = _KIND_FIRE) -> None:
@@ -454,13 +388,9 @@ class Simulator:
                         obj.callbacks = None
                         for callback in callbacks:
                             callback(obj)
-                elif kind == _KIND_START:
-                    if obj._value is _UNSET and obj._exc is None:
-                        obj._step()
-                else:  # _KIND_INTERRUPT
-                    process, exc = obj
-                    if process._value is _UNSET and process._exc is None:
-                        process._step(None, exc)
+                elif obj._value is _UNSET and obj._exc is None:
+                    # _KIND_START: the process's first step.
+                    obj._step()
                 if self._crashed is not None:
                     exc, self._crashed = self._crashed, None
                     raise exc

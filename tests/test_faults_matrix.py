@@ -6,7 +6,8 @@ survive a mid-stream disk death with every byte intact, heal a
 transient burst invisibly, and scrub clean after repair + rebuild.
 Every level rebuilds behind a frontier: reads racing a rebuild, and
 reads after a bounded rebuild, return the written bytes, and the scrub
-counts rows past a remaining frontier as degraded.
+counts rows past a remaining frontier as degraded.  A replacement that
+no rebuild has reached yet is untrusted on every row.
 """
 
 import dataclasses
@@ -115,6 +116,19 @@ def test_transient_burst_is_invisible(level):
     assert inj.m_transient_errors.value == 3
     assert ctrl.degraded_reads == 0
     assert_parity_clean(ctrl, max_rows=_scrub_rows(ctrl))
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_replacement_is_untrusted_before_its_rebuild_starts(level):
+    # Between repair() and rebuild() the replacement is blank: reads
+    # and a scrub must go through redundancy, not trust its zeros.
+    sim, ctrl, base = _replaced(level, seed=50 + level)
+    assert sim.run_process(ctrl.read(0, SIZE)) == base
+    report = scrub_array(ctrl, max_rows=_scrub_rows(ctrl))
+    assert report.ok and report.rows_checked == 0
+    sim.run_process(ctrl.rebuild(0))
+    assert sim.run_process(ctrl.read(0, SIZE)) == base
+    assert_parity_clean(ctrl)
 
 
 @pytest.mark.parametrize("level", LEVELS)

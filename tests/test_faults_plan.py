@@ -14,10 +14,9 @@ import pytest
 from repro.errors import CrashPoint
 from repro.faults import (CrashableDevice, DiskDeath, FaultInjector,
                           FaultPlan, HostCrash, LatentSectorError, LinkStall,
-                          RetryPolicy, TransientFault, attach_array,
-                          attach_server, restore_media)
+                          TransientFault, attach_array, attach_server,
+                          restore_media)
 from repro.hw import IBM_0661, DiskDrive
-from repro.hw.cougar import CougarController
 from repro.raid import DirectDiskPath, Raid5Controller
 from repro.server import Raid2Config, Raid2Server
 from repro.sim import Simulator
@@ -63,7 +62,7 @@ def test_disk_death_via_plan_degrades_but_serves_all_bytes():
 
 
 # ---------------------------------------------------------------------------
-# transient SCSI errors heal invisibly under the retry policy
+# transient SCSI errors heal invisibly under the one retry loop
 # ---------------------------------------------------------------------------
 
 def test_transient_faults_heal_with_no_user_visible_failure():
@@ -82,6 +81,27 @@ def test_transient_faults_heal_with_no_user_visible_failure():
     assert inj.m_transient_errors.value == 3
     # Retries healed in place: no reconstruction happened.
     assert ctrl.degraded_reads == 0
+
+
+@pytest.mark.parametrize("count,retries,degraded", [(2, 2, 0), (4, 4, 1)])
+def test_one_retry_loop_heals_transients_on_the_xbus_path(count, retries,
+                                                          degraded):
+    # A Raid2Server disk op crosses the XBUS port and a Cougar; the
+    # RAID layer's loop is the only retry on that path, so a burst as
+    # long as its attempts falls through to a parity reconstruction.
+    sim = Simulator()
+    server = Raid2Server(sim, Raid2Config.paper_default(disk_spec=SMALL_DISK))
+    raid = server.raid
+    base = pattern(raid.stripe_unit_bytes, seed=12)
+    sim.run_process(raid.write(0, base))
+
+    victim = raid.paths[raid.layout.data_disk(0, 0)].disk
+    attach_server(FaultPlan.of(TransientFault(disk=victim.name, count=count)),
+                  server)
+
+    assert sim.run_process(raid.read(0, len(base))) == base
+    assert raid.transient_retries == retries
+    assert raid.degraded_reads == degraded
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +147,6 @@ def test_link_stall_delays_scsi_transfer():
     assert sim.now >= 0.05
     assert inj.m_link_stalls.value == 1
     assert inj.m_stall_seconds.value >= 0.05
-
-
-def test_cougar_op_timeout_retries_through_link_stall():
-    sim = Simulator()
-    policy = RetryPolicy(max_attempts=10, backoff_s=20 * MS,
-                         op_timeout_s=50 * MS)
-    cougar = CougarController(sim, name="c0", retry=policy)
-    disk = DiskDrive(sim, SMALL_DISK, name="cd0")
-    cougar.strings[0].attach(disk)
-    payload = pattern(16 * KIB, seed=9)
-    disk.poke(0, payload)
-
-    inj = FaultInjector(sim, FaultPlan.of(
-        LinkStall(link="c0.s0", at_s=0.0, duration_s=0.3)))
-    inj.attach(links=[cougar.strings[0]])
-
-    data = sim.run_process(cougar.read(disk, 0, 32))
-    assert data == payload
-    # The stall outlived several op deadlines before an attempt fit.
-    assert cougar.op_timeouts >= 1
-    assert cougar.retries == 0
-    assert sim.now >= 0.05
 
 
 # ---------------------------------------------------------------------------

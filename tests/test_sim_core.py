@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -257,21 +257,6 @@ def test_all_of_empty_fires_immediately():
     assert sim.run_process(body()) == ([], 0.0)
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def worker(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def body():
-        procs = [sim.process(worker(d, d)) for d in (3.0, 1.0, 2.0)]
-        first = yield sim.any_of(procs)
-        return first, sim.now
-
-    assert sim.run_process(body()) == (1.0, 1.0)
-
-
 def test_all_of_propagates_failure():
     sim = Simulator()
 
@@ -288,69 +273,6 @@ def test_all_of_propagates_failure():
         return "survived"
 
     assert sim.run_process(body()) == "survived"
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            return "overslept"
-        except Interrupt as intr:
-            return f"interrupted:{intr.cause} at {sim.now}"
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt("alarm")
-
-    proc = sim.process(sleeper())
-    sim.process(interrupter(proc))
-    sim.run()
-    assert proc.value == "interrupted:alarm at 2.0"
-
-
-def test_interrupt_after_completion_is_noop():
-    sim = Simulator()
-
-    def sleeper():
-        yield sim.timeout(1.0)
-        return "done"
-
-    proc = sim.process(sleeper())
-    sim.run()
-    proc.interrupt("late")
-    sim.run()
-    assert proc.value == "done"
-
-
-def test_interrupt_racing_with_completion_is_noop():
-    # Regression: two interrupts delivered in the same instant.  The
-    # first wakes the process, which catches it and *returns*; the
-    # second must notice the process already completed rather than
-    # throwing into an exhausted generator (which used to surface as a
-    # SimulationError from failing an already-triggered event).
-    sim = Simulator()
-    caught = []
-
-    def body():
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt as intr:
-            caught.append(intr.cause)
-        return "finished"
-
-    proc = sim.process(body())
-
-    def killer():
-        yield sim.timeout(1.0)
-        proc.interrupt("first")
-        proc.interrupt("second")
-
-    sim.process(killer())
-    sim.run()
-    assert caught == ["first"]
-    assert proc.value == "finished"
 
 
 def test_deadlock_detected_by_run_process():

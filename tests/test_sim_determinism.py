@@ -16,14 +16,7 @@ import heapq
 
 import pytest
 
-from repro.sim.core import _KIND_INTERRUPT
 from repro.units import KIB
-
-
-def _component_of(kind: int, obj) -> str | None:
-    if kind == _KIND_INTERRUPT:  # obj is (process, exception)
-        return obj[0].name
-    return getattr(obj, "name", None)
 
 
 def _traced(run):
@@ -39,7 +32,7 @@ def _traced(run):
     def hook(heap, entry):
         when, _seq, kind, obj = entry
         trace.append((when, kind, type(obj).__name__,
-                      _component_of(kind, obj)))
+                      getattr(obj, "name", None)))
         return original(heap, entry)
 
     heapq.heappush = hook
@@ -127,36 +120,33 @@ def test_tracing_leaves_fingerprint_bit_identical():
 
 
 def test_trace_captures_every_scheduling_kind():
-    # Sanity-check the harness itself: a workload with timeouts,
-    # process starts and interrupts must show all three entry kinds,
-    # with process names attached where a component exists.
-    from repro.sim import Interrupt, Simulator
+    # Sanity-check the harness itself: a workload with timeouts and
+    # process starts must show both entry kinds, with process names
+    # attached where a component exists.
+    from repro.sim import Simulator
 
     def run():
         sim = Simulator()
 
         def sleeper():
-            try:
-                yield sim.timeout(50.0)
-            except Interrupt:
-                pass
+            yield sim.timeout(3.0)
             return sim.now
 
-        def waker(target):
-            yield sim.timeout(3.0)
-            target.interrupt("poke")
+        def waiter(target):
+            value = yield target
+            return value
 
         proc = sim.process(sleeper(), name="sleeper")
-        sim.process(waker(proc), name="waker")
+        sim.process(waiter(proc), name="waiter")
         sim.run()
         return proc.value
 
     result, trace = _traced(run)
     assert result == 3.0
     kinds = {entry[1] for entry in trace}
-    assert kinds == {0, 1, 2}
+    assert kinds == {0, 1}
     names = {entry[3] for entry in trace if entry[3] is not None}
-    assert {"sleeper", "waker"} <= names
+    assert {"sleeper", "waiter"} <= names
     _assert_identical_twice(run)
 
 
