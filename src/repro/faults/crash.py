@@ -15,9 +15,11 @@ A test then rebuilds a *fresh* simulator and device stack, calls
 LFS roll-forward recovery do its work — exactly the sequence a real
 power-fail test rig performs.
 
-Snapshot/restore reach into the devices' private stores (``_store``):
-this module is verification machinery, deliberately outside the timed
-data path.
+Snapshot/restore go through each store's own instant, untimed
+``snapshot()``/``restore()`` (every :class:`~repro.hw.DiskDrive` of an
+array, or a flat :class:`~repro.testing.MemoryDevice`), so the store
+formats stay private to the devices.  This module is verification
+machinery, deliberately outside the timed data path.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ from repro.faults.inject import FaultInjector
 class MediaSnapshot:
     """Durable bytes of one device at an instant.
 
-    Exactly one of ``disks`` (per-drive sparse sector stores, for RAID
+    Exactly one of ``disks`` (per-drive store snapshots, for RAID
     arrays) or ``flat`` (for :class:`~repro.testing.MemoryDevice`) is
     set.
     """
 
     at_s: float
-    disks: Optional[list] = None    # [(disk_name, {lba: sector_bytes})]
+    disks: Optional[list] = None    # [(disk_name, DiskDrive.snapshot())]
     flat: Optional[bytes] = None
 
 
@@ -49,14 +51,13 @@ def snapshot_media(device) -> MediaSnapshot:
     if paths is not None:
         return MediaSnapshot(
             at_s=device.sim.now,
-            disks=[(path.disk.name, dict(path.disk._store))
+            disks=[(path.disk.name, path.disk.snapshot())
                    for path in paths])
-    store = getattr(device, "_store", None)
-    if store is None:
+    if not hasattr(device, "snapshot"):
         raise HardwareError(
             f"cannot snapshot {device!r}: neither a RAID controller "
             "nor a flat-store device")
-    return MediaSnapshot(at_s=device.sim.now, flat=bytes(store))
+    return MediaSnapshot(at_s=device.sim.now, flat=device.snapshot())
 
 
 def restore_media(snapshot: MediaSnapshot, device) -> None:
@@ -67,20 +68,17 @@ def restore_media(snapshot: MediaSnapshot, device) -> None:
             raise HardwareError(
                 "snapshot has per-disk stores but the target is not a "
                 "matching array")
-        for path, (name, store) in zip(paths, snapshot.disks):
+        for path, (name, state) in zip(paths, snapshot.disks):
             if path.disk.name != name:
                 raise HardwareError(
                     f"snapshot disk {name!r} does not match target "
                     f"{path.disk.name!r}")
-            path.disk._store.clear()
-            path.disk._store.update(store)
+            path.disk.restore(state)
         return
-    store = getattr(device, "_store", None)
-    if store is None or len(store) != len(snapshot.flat):
+    if not hasattr(device, "restore"):
         raise HardwareError(
-            "snapshot is a flat image but the target has no matching "
-            "flat store")
-    store[:] = snapshot.flat
+            "snapshot is a flat image but the target has no flat store")
+    device.restore(snapshot.flat)
 
 
 class CrashableDevice:

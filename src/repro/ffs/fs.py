@@ -89,6 +89,8 @@ class UpdateInPlaceFS:
         self._inode_blocks = 0
         self._data_start = 0
         self._total_blocks = 0
+        #: Low-water mark: every data block below it is allocated.
+        self._free_hint = 0
         self.data_writes = 0
         self.data_reads = 0
 
@@ -106,6 +108,7 @@ class UpdateInPlaceFS:
         self._bitmap = bytearray(self._bitmap_blocks * BLOCK_SIZE)
         for block in range(self._data_start):
             self._set_bit(block)
+        self._free_hint = self._data_start
         self._inodes = [_FfsInode() for _ in range(self.max_files)]
         self._names = {}
         yield from self._write_inode_table()
@@ -146,15 +149,25 @@ class UpdateInPlaceFS:
 
     def _clear_bit(self, block: int) -> None:
         self._bitmap[block // 8] &= ~(1 << (block % 8))
+        if block < self._free_hint:
+            self._free_hint = block
 
     def _test_bit(self, block: int) -> bool:
         return bool(self._bitmap[block // 8] & (1 << (block % 8)))
 
     def _allocate_block(self) -> int:
-        for block in range(self._data_start, self._total_blocks):
+        """Allocate the lowest free data block (first-free placement).
+
+        The scan starts at the low-water mark: every block below it is
+        allocated, so it finds the block a scan from the data start
+        would.
+        """
+        for block in range(self._free_hint, self._total_blocks):
             if not self._test_bit(block):
                 self._set_bit(block)
+                self._free_hint = block + 1
                 return block
+        self._free_hint = self._total_blocks
         raise NoSpaceFsError("FFS volume full")
 
     # ------------------------------------------------------------------

@@ -64,6 +64,18 @@ class MemoryDevice:
         self._check(offset, len(data))
         self._store[offset:offset + len(data)] = data
 
+    def snapshot(self) -> bytes:
+        """The whole image, for :meth:`restore` (instant, untimed)."""
+        return bytes(self._store)
+
+    def restore(self, image: bytes) -> None:
+        """Replace the whole image with a :meth:`snapshot`."""
+        if len(image) != self.capacity_bytes:
+            raise HardwareError(
+                f"a {len(image)}-byte image does not fit {self.name} "
+                f"({self.capacity_bytes} bytes)")
+        self._store[:] = image
+
 
 def assert_fs_consistent(fs) -> None:
     """Checkpoint ``fs`` and fsck it; raise ConsistencyError on findings.

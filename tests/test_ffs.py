@@ -94,6 +94,46 @@ def test_unlink_frees_space():
         500 * KIB, seed=7)
 
 
+def test_allocation_is_first_free():
+    """Blocks go to the lowest free data block: consecutive from the
+    data start, freed holes refilled lowest first, ENOSPC when full."""
+    sim, device, fs = make_fs(capacity=1 * MIB)
+    start = fs._data_start
+
+    def block_at(addr):
+        return device.peek(addr * BLOCK_SIZE, BLOCK_SIZE)
+
+    files = {name: pattern(2 * BLOCK_SIZE, seed=index)
+             for index, name in enumerate(["/a", "/b", "/c"])}
+    for name, payload in files.items():
+        sim.run_process(fs.create(name))
+        sim.run_process(fs.write(name, 0, payload))
+    for index, payload in enumerate(files.values()):
+        assert block_at(start + 2 * index) == payload[:BLOCK_SIZE]
+        assert block_at(start + 2 * index + 1) == payload[BLOCK_SIZE:]
+
+    sim.run_process(fs.unlink("/b"))
+    refill = pattern(3 * BLOCK_SIZE, seed=10)
+    sim.run_process(fs.create("/d"))
+    sim.run_process(fs.write("/d", 0, refill))
+    assert block_at(start + 2) == refill[:BLOCK_SIZE]
+    assert block_at(start + 3) == refill[BLOCK_SIZE:2 * BLOCK_SIZE]
+    assert block_at(start + 6) == refill[2 * BLOCK_SIZE:]
+
+    sim.run_process(fs.create("/e"))
+    with pytest.raises(NoSpaceFsError):
+        sim.run_process(fs.write("/e", 0, pattern(fs._total_blocks
+                                                  * BLOCK_SIZE, seed=11)))
+    assert sim.run_process(fs.fsck())["errors"] == 0
+
+    # A block freed on a full volume is the next one handed out.
+    sim.run_process(fs.unlink("/a"))
+    sim.run_process(fs.create("/f"))
+    sim.run_process(fs.write("/f", 0, pattern(BLOCK_SIZE, seed=12)))
+    assert block_at(start) == pattern(BLOCK_SIZE, seed=12)
+    assert sim.run_process(fs.fsck())["errors"] == 0
+
+
 def test_small_write_on_raid5_triggers_rmw():
     """The motivating behaviour: FFS small writes become RAID-5 RMWs."""
     sim = Simulator()

@@ -1,9 +1,12 @@
 """Property-based tests for the hardware timing models."""
 
 import dataclasses
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import MediumError
 from repro.hw import IBM_0661, SEAGATE_WREN_IV, DiskDrive
 from repro.hw.vme import Direction, VmePort
 from repro.sim import BandwidthChannel, Simulator
@@ -100,14 +103,72 @@ def test_vme_write_never_faster_than_read(nbytes):
         port.transfer_time(nbytes, Direction.READ)
 
 
-@given(spec=specs, fill=st.binary(min_size=SECTOR_SIZE,
-                                  max_size=4 * SECTOR_SIZE))
-@settings(max_examples=30, deadline=None)
-def test_disk_store_roundtrip_any_payload(spec, fill):
+#: A small drive whose last 4 KiB store block is partial (100 sectors).
+_SMALL_DISK = dataclasses.replace(IBM_0661, capacity_bytes=100 * SECTOR_SIZE)
+_NSECTORS = _SMALL_DISK.capacity_bytes // SECTOR_SIZE
+
+_extents = st.tuples(st.integers(0, _NSECTORS - 1), st.integers(1, 40))
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("poke"), _extents, st.integers(0, 2**16)),
+        st.tuples(st.just("peek"), _extents),
+        st.tuples(st.just("read"), _extents),
+        st.tuples(st.just("mark_bad"), _extents),
+        st.tuples(st.just("wipe"),),
+        st.tuples(st.just("snapshot"),),
+        st.tuples(st.just("restore"),),
+    ),
+    min_size=1, max_size=25,
+)
+
+
+@given(ops=store_ops)
+@settings(max_examples=50, deadline=None)
+def test_disk_store_roundtrip_any_payload(ops):
+    """The block store matches a flat bytearray shadow under any mix of
+    pokes (partial, straddling 4 KiB blocks), reads of unwritten space,
+    latent errors healed by rewrites, wipes and snapshot/restore."""
     sim = Simulator()
-    disk = DiskDrive(sim, spec)
-    aligned = fill[:len(fill) - len(fill) % SECTOR_SIZE]
-    if not aligned:
-        return
-    disk.poke(10, aligned)
-    assert disk.peek(10, len(aligned) // SECTOR_SIZE) == aligned
+    disk = DiskDrive(sim, _SMALL_DISK)
+    shadow = bytearray(_SMALL_DISK.capacity_bytes)
+    bad: set[int] = set()
+    saved = None
+    for op in ops:
+        kind = op[0]
+        if kind in ("poke", "peek", "read", "mark_bad"):
+            lba, nsectors = op[1]
+            nsectors = min(nsectors, _NSECTORS - lba)
+            lo, hi = lba * SECTOR_SIZE, (lba + nsectors) * SECTOR_SIZE
+        if kind == "poke":
+            payload = random.Random(op[2]).randbytes(hi - lo)
+            disk.poke(lba, payload)
+            shadow[lo:hi] = payload
+            bad.difference_update(range(lba, lba + nsectors))
+        elif kind == "peek":
+            assert disk.peek(lba, nsectors) == shadow[lo:hi]
+        elif kind == "read":
+            if bad.isdisjoint(range(lba, lba + nsectors)):
+                assert sim.run_process(disk.read(lba, nsectors)) == \
+                    shadow[lo:hi]
+            else:
+                with pytest.raises(MediumError):
+                    sim.run_process(disk.read(lba, nsectors))
+        elif kind == "mark_bad":
+            disk.mark_bad(lba, nsectors)
+            bad.update(range(lba, lba + nsectors))
+        elif kind == "wipe":
+            disk.repair(wipe=True)
+            shadow[:] = bytes(len(shadow))
+            bad.clear()
+        elif kind == "snapshot":
+            saved = (disk.snapshot(), bytes(shadow))
+        elif saved is not None:
+            disk.restore(saved[0])
+            shadow[:] = saved[1]
+    assert disk.peek(0, _NSECTORS) == shadow
+    for lba in range(_NSECTORS):
+        if lba in bad:
+            with pytest.raises(MediumError):
+                sim.run_process(disk.read(lba, 1))
+        else:
+            sim.run_process(disk.read(lba, 1))

@@ -66,14 +66,23 @@ def _table2_raid2():
     return table2._raid2_rate(4, 6, 42)
 
 
+def _lfs_vs_ffs():
+    # The FFS leg places every block through the first-free allocator,
+    # so a placement change moves the RAID-5 seek times in the trace.
+    from repro.experiments import ablations
+    return ablations.run_lfs_vs_ffs(quick=True).scalars
+
+
 #: Fingerprints recorded before the dispatch loop was collapsed into
-#: one: (workload, first 16 hex digits of sha256(repr((result, trace))),
+#: one (the FFS entry before the allocator kept a low-water mark):
+#: (workload, first 16 hex digits of sha256(repr((result, trace))),
 #: heap pushes).  A kernel change that reorders, adds or drops a single
 #: scheduling action, or moves a result by one ULP, changes the digest.
 GOLDEN = [
     (_fig5_read, "d864e62bc1f00a46", 649),
     (_fig5_write, "edae6338a4ffee94", 1254),
     (_table2_raid2, "0bdb5caade322875", 632),
+    (_lfs_vs_ffs, "228f035d153a6b4a", 5551),
 ]
 
 
