@@ -4,13 +4,19 @@ The Cougar couples two SCSI strings to one VME bus and can move about
 8 MB/s.  When *both* of its strings transfer at once, there is "some
 contention on the controller that results in lower performance"
 (Section 2.3) — the cause of the throughput dip at 768 KB in Figure 5.
-We charge a fixed contention penalty to any transfer that runs while
-the controller's other string is busy.
+We charge a fixed contention penalty to any transfer that starts while
+the controller's other string has an operation in flight: ``read`` and
+``write`` check the per-string in-flight counts inline and hold their
+own count while their legs run.
 
 The controller owns the full disk-to-VME path: a read is
 ``disk mechanics -> (media transfer || string transfer || controller
 transfer)``, the parallel stage modelling cut-through through the
 drive's buffer and the controller's FIFOs.
+
+Each disk's route — its string, the string's index and the names of the
+three leg processes — is computed on the disk's first operation and
+cached, so an operation neither scans the strings nor formats names.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ class CougarController:
         #: Operations currently in flight per string (indexed like
         #: ``strings``); used for the dual-string contention check.
         self._inflight = [0] * spec.strings
+        self._xfer_name = f"{name}.xfer"
+        #: disk -> (string, string index, read leg name, write leg name,
+        #: string leg name); filled by ``_route`` on first use.
+        self._routes: dict[DiskDrive, tuple[ScsiString, int, str, str, str]] = {}
 
     # ------------------------------------------------------------------
     def string_of(self, disk: DiskDrive) -> ScsiString:
@@ -67,39 +77,17 @@ class CougarController:
     def disks(self) -> list[DiskDrive]:
         return [disk for string in self.strings for disk in string.disks]
 
-    def _other_string_busy(self, string: ScsiString) -> bool:
-        index = self.strings.index(string)
-        return any(count > 0 for other, count in enumerate(self._inflight)
-                   if other != index)
+    def _route(self, disk: DiskDrive) -> tuple[ScsiString, int, str, str, str]:
+        string = self.string_of(disk)
+        route = (string, self.strings.index(string), f"{disk.name}.read",
+                 f"{disk.name}.write", f"{string.name}.xfer")
+        self._routes[disk] = route
+        return route
 
-    def _dual_string_delay(self, string: ScsiString):
-        """Process: serial command-handling delay when both strings are
-        in use.  This is "contention on the controller that results in
-        lower performance when both strings are used" (Section 2.3) —
-        charged up front, before the data legs, so it extends the
-        operation's critical path."""
-        if self._other_string_busy(string):
-            self._m_contention_events.inc()
-            yield self.sim.timeout(self.spec.dual_string_penalty_s)
-        return None
-
-    def _controller_transfer(self, string: ScsiString, nbytes: int):
+    def _controller_transfer(self, nbytes: int):
         """Process: the controller-internal data leg."""
         with self.sim.tracer.span("cougar.bus", self.name, nbytes=nbytes):
             yield from self.channel.transfer(nbytes)
-
-    def _join(self, string: ScsiString, legs: list):
-        """Process: wait for an operation's concurrent legs, counted in
-        flight on ``string`` meanwhile; returns their values in order.
-        A failing leg (a transient error, a dead drive) fails the
-        operation at once."""
-        index = self.strings.index(string)
-        self._inflight[index] += 1
-        try:
-            values = yield self.sim.all_of(legs)
-        finally:
-            self._inflight[index] -= 1
-        return values
 
     # ------------------------------------------------------------------
     def read(self, disk: DiskDrive, lba: int, nsectors: int):
@@ -108,37 +96,56 @@ class CougarController:
         Returns the bytes read.  The three data-movement legs (drive
         media, SCSI string, controller channel) run concurrently to
         model cut-through; the operation completes when the slowest
-        finishes.
+        finishes, and fails at once when any leg fails (a transient
+        error, a dead drive).
         """
-        string = self.string_of(disk)
+        string, index, read_name, _, xfer_name = (
+            self._routes.get(disk) or self._route(disk))
+        sim = self.sim
         nbytes = nsectors * SECTOR_SIZE
-        with self.sim.tracer.span("cougar.read", self.name, nbytes=nbytes):
-            yield from self._dual_string_delay(string)
+        with sim.tracer.span("cougar.read", self.name, nbytes=nbytes):
+            inflight = self._inflight
+            if sum(inflight) > inflight[index]:
+                # "Contention on the controller that results in lower
+                # performance when both strings are used" (Section 2.3):
+                # a serial command-handling delay, charged before the
+                # data legs so it extends the critical path.
+                self._m_contention_events.inc()
+                yield sim.timeout(self.spec.dual_string_penalty_s)
             legs = [
-                self.sim.process(disk.read(lba, nsectors),
-                                 name=f"{disk.name}.read"),
-                self.sim.process(string.transfer(nbytes),
-                                 name=f"{string.name}.xfer"),
-                self.sim.process(self._controller_transfer(string, nbytes),
-                                 name=f"{self.name}.xfer"),
+                sim.process(disk.read(lba, nsectors), name=read_name),
+                sim.process(string.transfer(nbytes), name=xfer_name),
+                sim.process(self._controller_transfer(nbytes),
+                            name=self._xfer_name),
             ]
-            values = yield from self._join(string, legs)
+            inflight[index] += 1
+            try:
+                values = yield sim.all_of(legs)
+            finally:
+                inflight[index] -= 1
             return values[0]
 
     def write(self, disk: DiskDrive, lba: int, data: bytes):
         """Process: write ``data`` to ``disk`` down through the controller."""
-        string = self.string_of(disk)
-        with self.sim.tracer.span("cougar.write", self.name,
-                                  nbytes=len(data)):
-            yield from self._dual_string_delay(string)
+        string, index, _, write_name, xfer_name = (
+            self._routes.get(disk) or self._route(disk))
+        sim = self.sim
+        nbytes = len(data)
+        with sim.tracer.span("cougar.write", self.name, nbytes=nbytes):
+            inflight = self._inflight
+            if sum(inflight) > inflight[index]:
+                self._m_contention_events.inc()
+                yield sim.timeout(self.spec.dual_string_penalty_s)
             legs = [
-                self.sim.process(disk.write(lba, data),
-                                 name=f"{disk.name}.write"),
-                self.sim.process(string.transfer(len(data), write=True),
-                                 name=f"{string.name}.xfer"),
-                self.sim.process(
-                    self._controller_transfer(string, len(data)),
-                    name=f"{self.name}.xfer"),
+                sim.process(disk.write(lba, data), name=write_name),
+                sim.process(string.transfer(nbytes, write=True),
+                            name=xfer_name),
+                sim.process(self._controller_transfer(nbytes),
+                            name=self._xfer_name),
             ]
-            yield from self._join(string, legs)
+            inflight[index] += 1
+            try:
+                yield sim.all_of(legs)
+            finally:
+                inflight[index] -= 1
             return None

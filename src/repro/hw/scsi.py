@@ -32,9 +32,6 @@ class ScsiString:
         self.disks: list[DiskDrive] = []
         #: Optional fault-injection hook (see repro.faults.inject).
         self.faults = None
-        #: Number of transfers currently occupying or queued on the bus;
-        #: the Cougar uses this for its dual-string contention check.
-        self.active_transfers = 0
 
     def attach(self, disk: DiskDrive) -> None:
         if disk in self.disks:
@@ -47,27 +44,19 @@ class ScsiString:
         Writes run at the string's (lower) write rate; the shared bus
         lock still serializes both directions.
         """
-        self.active_transfers += 1
-        try:
-            with self.sim.tracer.span("scsi.transfer", self.name,
-                                      nbytes=nbytes, write=write):
-                faults = self.faults
-                if faults is not None:
-                    delay = faults.stall_delay(self.name)
-                    if delay > 0.0:
-                        yield self.sim.timeout(delay)
-                if write:
-                    # Same bus, slower effective rate: scale the byte
-                    # count so the shared FIFO channel charges
-                    # write-rate time.
-                    scaled = int(nbytes * self.spec.rate_mb_s
-                                 / self.spec.write_rate_mb_s)
-                    yield from self.channel.transfer(scaled)
-                else:
-                    yield from self.channel.transfer(nbytes)
-        finally:
-            self.active_transfers -= 1
-
-    @property
-    def busy(self) -> bool:
-        return self.active_transfers > 0
+        with self.sim.tracer.span("scsi.transfer", self.name,
+                                  nbytes=nbytes, write=write):
+            faults = self.faults
+            if faults is not None:
+                delay = faults.stall_delay(self.name)
+                if delay > 0.0:
+                    yield self.sim.timeout(delay)
+            if write:
+                # Same bus, slower effective rate: scale the byte
+                # count so the shared FIFO channel charges
+                # write-rate time.
+                scaled = int(nbytes * self.spec.rate_mb_s
+                             / self.spec.write_rate_mb_s)
+                yield from self.channel.transfer(scaled)
+            else:
+                yield from self.channel.transfer(nbytes)

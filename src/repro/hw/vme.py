@@ -42,22 +42,22 @@ class VmePort:
         self.faults = None
         self.bytes_moved = 0
         self.busy_time = 0.0
-
-    def rate_mb_s(self, direction: Direction) -> float:
-        if direction is Direction.READ:
-            return self.spec.read_rate_mb_s
-        return self.spec.write_rate_mb_s
+        self._read_bytes_per_s = spec.read_rate_mb_s * MB
+        self._write_bytes_per_s = spec.write_rate_mb_s * MB
 
     def transfer_time(self, nbytes: int, direction: Direction) -> float:
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
-        return (self.spec.per_transfer_overhead_s
-                + nbytes / (self.rate_mb_s(direction) * MB))
+        bytes_per_s = (self._read_bytes_per_s if direction is Direction.READ
+                       else self._write_bytes_per_s)
+        return self.spec.per_transfer_overhead_s + nbytes / bytes_per_s
 
     def transfer(self, nbytes: int, direction: Direction):
         """Process: move ``nbytes`` across the port (queue + service)."""
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # Python-level property, evaluated on every transfer otherwise.
         with self.sim.tracer.span("vme.transfer", self.name, nbytes=nbytes,
-                                  direction=direction.value):
+                                  direction=direction._value_):
             yield self._lock.acquire()
             try:
                 faults = self.faults

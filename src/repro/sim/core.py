@@ -16,13 +16,18 @@ Semantics follow SimPy closely:
   process is waiting on it, in which case the exception propagates to the
   waiter instead.
 
-Fast-path invariants (see DESIGN.md §7): every scheduling action draws
-exactly one sequence number through :meth:`Simulator._enqueue`, and
-same-time entries fire in sequence order, so the optimizations below —
+Fast-path invariants (see DESIGN.md §7): every scheduling action
+pushes exactly one heap entry, drawing one sequence number, and
+same-time entries fire in sequence order.  The optimizations below —
 ``__slots__``, direct process starts instead of bootstrap events,
-the sole-waiter fast path, and batch-popping in the one dispatch loop
-(:meth:`Simulator._loop`) —
-change wall-clock cost only, never simulated clocks or results.
+events and processes that push their own entries inline, the
+``_waiter`` slot that holds an event's first listener (a process or an
+:class:`AllOf`) without a callbacks list, and the one dispatch loop
+(:meth:`Simulator._loop`), which batch-pops each instant and advances
+generators itself in the common cases behind one slow path
+(:meth:`Process._step`) — change wall-clock cost only, never simulated
+clocks or results.  ``heapq.heappush`` is looked up at every call, so
+trace tooling can hook it to see every scheduling action.
 
 Heap entries are ``(when, seq, kind, obj)`` tuples.  ``seq`` is unique,
 so comparisons never reach ``obj``.  Kinds:
@@ -37,7 +42,8 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional
+from types import GeneratorType
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 from repro.errors import SimulationError
 from repro.obs.session import observe_simulator
@@ -49,6 +55,10 @@ _KIND_START = 1
 
 SimGenerator = Generator["Event", Any, Any]
 
+#: What an event's ``callbacks`` list holds: processes and conditions
+#: resumed by the dispatch loop, or plain callables from add_callback().
+_Listener = Union["Process", "AllOf", Callable[["Event"], None]]
+
 
 def _noop(_event: "Event") -> None:
     return None
@@ -58,8 +68,11 @@ class Event:
     """A one-shot occurrence that processes may wait on.
 
     ``callbacks`` stays ``None`` until a second listener appears: the
-    common case — exactly one process waiting — is held in ``_waiter``
-    and resumed directly, without allocating or walking a list.
+    first listener — a waiting process or an :class:`AllOf` — is held
+    in ``_waiter`` and resumed by the dispatch loop directly, without
+    allocating or walking a list.  Later listeners (processes, conditions
+    or plain callables) go into ``callbacks`` and run after it, in
+    registration order.
     """
 
     __slots__ = ("sim", "callbacks", "_waiter", "_value", "_exc",
@@ -67,8 +80,8 @@ class Event:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: Optional[list[Callable[["Event"], None]]] = None
-        self._waiter: Optional["Process"] = None
+        self.callbacks: Optional[list[_Listener]] = None
+        self._waiter: Optional[Union["Process", "AllOf"]] = None
         self._value: Any = _UNSET
         self._exc: Optional[BaseException] = None
         self._processed = False
@@ -103,7 +116,8 @@ class Event:
         if self._value is not _UNSET or self._exc is not None:
             raise SimulationError("event already triggered")
         self._value = value
-        self.sim._enqueue(0.0, self)
+        sim = self.sim
+        heapq.heappush(sim._heap, (sim.now, next(sim._seq), _KIND_FIRE, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -112,7 +126,8 @@ class Event:
         if not isinstance(exc, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exc!r}")
         self._exc = exc
-        self.sim._enqueue(0.0, self)
+        sim = self.sim
+        heapq.heappush(sim._heap, (sim.now, next(sim._seq), _KIND_FIRE, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -124,6 +139,16 @@ class Event:
         else:
             self.callbacks.append(callback)
 
+    def _listen(self, listener: Union["Process", "AllOf"]) -> None:
+        """Register a listener on this unprocessed event: the first
+        takes the ``_waiter`` slot, later ones queue in ``callbacks``."""
+        if self._waiter is None and self.callbacks is None:
+            self._waiter = listener
+        elif self.callbacks is None:
+            self.callbacks = [listener]
+        else:
+            self.callbacks.append(listener)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (
             "triggered" if self.triggered else "pending")
@@ -131,22 +156,14 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay."""
+    """An event that fires after a fixed simulated delay.
+
+    Built only by :meth:`Simulator.timeout`, which fills the slots and
+    pushes the heap entry itself: timeouts are the hottest allocation
+    in the kernel, and they trigger at construction time.
+    """
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        # Inlined Event.__init__: timeouts are the hottest allocation in
-        # the kernel, and they trigger at construction time.
-        self.sim = sim
-        self.callbacks = None
-        self._waiter = None
-        self._value = delay if value is None else value
-        self._exc = None
-        self._processed = False
-        sim._enqueue(delay, self)
 
 
 class Process(Event):
@@ -154,67 +171,52 @@ class Process(Event):
 
     The process *is* the event of its own termination: its value is the
     generator's return value, and a failure inside the generator fails
-    the event.
+    the event.  Built only by :meth:`Simulator.process`.
     """
 
     __slots__ = ("_generator", "name")
 
-    def __init__(self, sim: "Simulator", generator: SimGenerator,
-                 name: str = ""):
-        super().__init__(sim)
-        if not hasattr(generator, "send"):
-            raise SimulationError(
-                f"process body must be a generator, got {generator!r}")
-        self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
-        # Kick off at the current instant: scheduled directly on the
-        # heap (no bootstrap Event), drawing one sequence number exactly
-        # as the bootstrap's succeed() used to.
-        sim._enqueue(0.0, self, _KIND_START)
+    _generator: SimGenerator
+    name: str
 
     # -- internal ---------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        if self._value is not _UNSET or self._exc is not None:
-            return
-        exc = event._exc
-        if exc is not None:
-            self._step(None, exc)
-        else:
-            self._step(event._value)
+    def _step(self, send: Any = None, throw: Optional[BaseException] = None,
+              target: Any = _UNSET) -> None:
+        """Resume the generator and wait on what it yields.
 
-    def _step(self, send: Any = None, throw: Optional[BaseException] = None):
+        The one slow path behind the dispatch loop's inline resumes: it
+        throws a failed event's exception in, continues at once past
+        events that already fired, fails the process when the generator
+        raises or yields a non-:class:`Event`, and queues behind an
+        event's first listener.  The loop passes ``target`` when it
+        resumed the generator itself and the yield needs any of this.
+        """
         generator = self._generator
         while True:
-            try:
-                if throw is not None:
-                    exc, throw = throw, None
-                    target = generator.throw(exc)
-                else:
-                    target = generator.send(send)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-                return
-            except BaseException as exc:  # noqa: BLE001 - must capture all
-                self._fail_process(exc)
-                return
+            if target is _UNSET:
+                try:
+                    if throw is not None:
+                        exc, throw = throw, None
+                        target = generator.throw(exc)
+                    else:
+                        target = generator.send(send)
+                except StopIteration as stop:
+                    self.succeed(stop.value)
+                    return
+                except BaseException as exc:  # noqa: BLE001 - must capture all
+                    self._fail_process(exc)
+                    return
             if not isinstance(target, Event):
-                exc = SimulationError(
+                self._fail_process(SimulationError(
                     f"process {self.name!r} yielded {target!r}; "
-                    "processes may only yield Event instances")
-                self._fail_process(exc)
+                    "processes may only yield Event instances"))
                 return
             if target._processed:
                 # Already fired: continue synchronously.
-                if target._exc is not None:
-                    throw = target._exc
-                else:
-                    send = target._value
+                send, throw = target._value, target._exc
+                target = _UNSET
                 continue
-            if target._waiter is None and not target.callbacks:
-                # Sole waiter: resumed directly by the dispatch loop, no list.
-                target._waiter = self
-            else:
-                target.add_callback(self._resume)
+            target._listen(self)
             return
 
     def _fail_process(self, exc: BaseException) -> None:
@@ -228,22 +230,39 @@ class Process(Event):
 
 
 class AllOf(Event):
-    """Fires when every constituent event has fired; value is their values."""
+    """Fires when every constituent event has fired; value is their values.
+
+    As a constituent's first listener it sits in that event's
+    ``_waiter`` slot, and the dispatch loop calls :meth:`_check`
+    directly.
+    """
 
     __slots__ = ("_events", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._events = list(events)
-        self._pending = len(self._events)
-        for event in self._events:
+        # Event.__init__ inlined, as in Simulator.timeout/process: every
+        # disk operation joins its legs through two of these.
+        self.sim = sim
+        self.callbacks = None
+        self._waiter = None
+        self._value = _UNSET
+        self._exc = None
+        self._processed = False
+        constituents = self._events = list(events)
+        self._pending = len(constituents)
+        for event in constituents:
             if event.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
-        if not self._events:
+        if not constituents:
             self.succeed([])
             return
-        for event in self._events:
-            event.add_callback(self._check)
+        for event in constituents:
+            if event._processed:
+                self._check(event)
+            elif event._waiter is None and event.callbacks is None:
+                event._waiter = self
+            else:
+                event._listen(self)
 
     def _check(self, event: Event) -> None:
         if self._value is not _UNSET or self._exc is not None:
@@ -253,7 +272,11 @@ class AllOf(Event):
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed([ev._value for ev in self._events])
+            # succeed() without its re-check: this condition is untriggered.
+            self._value = [ev._value for ev in self._events]
+            sim = self.sim
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, self))
 
 
 class Simulator:
@@ -276,13 +299,8 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        # Fast path: build the Timeout without delegating to __init__
-        # and push the heap entry directly (timeouts are the hottest
-        # allocation in the kernel).  This bypasses _enqueue, so trace
-        # tooling that wants every scheduling action must hook
-        # heapq.heappush rather than _enqueue alone.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         timeout = Timeout.__new__(Timeout)
         timeout.sim = self
         timeout.callbacks = None
@@ -295,27 +313,38 @@ class Simulator:
         return timeout
 
     def process(self, generator: SimGenerator, name: str = "") -> Process:
+        if type(generator) is GeneratorType:
+            if not name:
+                name = generator.__name__
+        elif hasattr(generator, "send"):
+            name = name or getattr(generator, "__name__", "process")
+        else:
+            raise SimulationError(
+                f"process body must be a generator, got {generator!r}")
         tracer = self.tracer
         if tracer.enabled:
-            # Resolve the display name from the original generator
-            # before wrapping: the determinism fingerprint includes
-            # process names, which must not change with tracing on.
-            if not name:
-                name = getattr(generator, "__name__", "process")
+            # Named from the original generator above: the determinism
+            # fingerprint includes process names, which must not change
+            # with tracing on.
             generator = tracer.scoped(generator)
-        return Process(self, generator, name=name)
+        proc = Process.__new__(Process)
+        proc.sim = self
+        proc.callbacks = None
+        proc._waiter = None
+        proc._value = _UNSET
+        proc._exc = None
+        proc._processed = False
+        proc._generator = generator
+        proc.name = name
+        # Kick off at the current instant: one START entry.
+        heapq.heappush(self._heap,
+                       (self.now, next(self._seq), _KIND_START, proc))
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    def _enqueue(self, delay: float, obj: Any, kind: int = _KIND_FIRE) -> None:
-        # heapq.heappush is looked up at call time (here and in
-        # timeout()): the determinism trace test hooks it to fingerprint
-        # simulated behavior.
-        heapq.heappush(self._heap,
-                       (self.now + delay, next(self._seq), kind, obj))
-
     def _crash(self, exc: BaseException) -> None:
         if self._crashed is None:
             self._crashed = exc
@@ -324,8 +353,12 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
 
-        Returns the simulation clock after running.
+        Returns the simulation clock after running.  ``until`` may not
+        lie before the current clock.
         """
+        if until is not None and not until >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"run(until={until!r}) lies before now={self.now!r}")
         self._loop(until, None)
         if until is not None and until > self.now:
             self.now = until
@@ -355,9 +388,17 @@ class Simulator:
         the next entry lies past ``until`` (the clock then stops at
         ``until``), or ``proc`` has triggered — checked after every
         entry, so later entries of that instant stay queued.
+
+        A START entry, and a FIRE entry whose first listener is a
+        process and whose value is set, resume the generator right here.
+        If it yields an idle event (no listener, not yet fired), the
+        process takes that event's ``_waiter`` slot; if it returns, the
+        process pushes its own FIRE entry.  Everything else goes through
+        :meth:`Process._step`.
         """
         heap = self._heap
         heappop = heapq.heappop
+        seq = self._seq
         while heap:
             when = heap[0][0]
             if until is not None and when > until:
@@ -369,31 +410,60 @@ class Simulator:
             # ``until`` and re-reading the clock each time.
             while True:
                 _when, _seq, kind, obj = heappop(heap)
+                process: Optional[Process] = None
+                send: Any = None
+                callbacks: Optional[list[_Listener]] = None
                 if kind == _KIND_FIRE:
-                    # The sole waiter registered before any listed
-                    # callback, so it resumes first: the same FIFO
-                    # order a single callback list would give.
                     obj._processed = True
                     waiter = obj._waiter
                     if waiter is not None:
+                        # The first listener runs before any listed
+                        # callback: the FIFO order one list would give.
                         obj._waiter = None
-                        if waiter._value is _UNSET and waiter._exc is None:
-                            exc = obj._exc
-                            if exc is not None:
-                                waiter._step(None, exc)
+                        if type(waiter) is AllOf:
+                            waiter._check(obj)
+                        elif waiter._value is _UNSET and waiter._exc is None:
+                            if obj._exc is None:
+                                process, send = waiter, obj._value
                             else:
-                                waiter._step(obj._value)
+                                waiter._step(None, obj._exc)
+                    # Nothing registers on a processed event, so the
+                    # list is complete before the waiter resumes.
                     callbacks = obj.callbacks
-                    if callbacks is not None:
-                        obj.callbacks = None
-                        for callback in callbacks:
-                            callback(obj)
                 elif obj._value is _UNSET and obj._exc is None:
-                    # _KIND_START: the process's first step.
-                    obj._step()
+                    # START (unless the process already finished).
+                    process = obj
+                if process is not None:
+                    try:
+                        target = process._generator.send(send)
+                    except StopIteration as stop:
+                        process._value = stop.value
+                        heapq.heappush(
+                            heap, (when, next(seq), _KIND_FIRE, process))
+                    except BaseException as exc:  # noqa: BLE001 - must capture all
+                        process._fail_process(exc)
+                    else:
+                        if (isinstance(target, Event)
+                                and target._waiter is None
+                                and target.callbacks is None
+                                and not target._processed):
+                            target._waiter = process
+                        else:
+                            process._step(target=target)
+                if callbacks is not None:
+                    obj.callbacks = None
+                    for callback in callbacks:
+                        if isinstance(callback, Process):
+                            if (callback._value is _UNSET
+                                    and callback._exc is None):
+                                callback._step(obj._value, obj._exc)
+                        elif isinstance(callback, AllOf):
+                            callback._check(obj)
+                        else:
+                            callback(obj)
                 if self._crashed is not None:
-                    exc, self._crashed = self._crashed, None
-                    raise exc
+                    crashed, self._crashed = self._crashed, None
+                    raise crashed
                 if proc is not None and (proc._value is not _UNSET
                                          or proc._exc is not None):
                     return

@@ -6,11 +6,12 @@ CPU, an XBUS port — where processes must wait their turn.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Deque
 
 from repro.errors import SimulationError
-from repro.sim.core import Event, Simulator
+from repro.sim.core import _KIND_FIRE, Event, Simulator
 
 
 class Resource:
@@ -41,10 +42,14 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self) -> Event:
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._in_use < self.capacity:
+            # Granted at once: succeed() with its entry pushed inline.
             self._in_use += 1
-            event.succeed()
+            event._value = None
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
             self._waiters.append(event)
         return event
@@ -53,7 +58,12 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            # Hand the slot directly to the next waiter.
-            self._waiters.popleft().succeed()
+            # Hand the slot directly to the next waiter: succeed() with
+            # its entry pushed inline.
+            event = self._waiters.popleft()
+            event._value = None
+            sim = self.sim
+            heapq.heappush(sim._heap,
+                           (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
             self._in_use -= 1

@@ -31,24 +31,6 @@ def test_string_attach_and_duplicate_rejected(sim):
     assert string.disks == [disk]
 
 
-def test_string_transfer_tracks_activity(sim):
-    string = ScsiString(sim)
-    observed = []
-
-    def mover():
-        yield from string.transfer(64 * KIB)
-
-    def watcher():
-        yield sim.timeout(0.001)
-        observed.append(string.busy)
-
-    sim.process(mover())
-    sim.process(watcher())
-    sim.run()
-    assert observed == [True]
-    assert not string.busy
-
-
 def test_cougar_read_returns_disk_bytes(sim):
     cougar = make_cougar(sim)
     disk = cougar.strings[0].disks[0]

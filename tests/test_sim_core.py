@@ -298,3 +298,196 @@ def test_nested_subroutine_with_yield_from():
         return a + b, sim.now
 
     assert sim.run_process(outer()) == (20, 2.0)
+
+
+def test_run_until_in_the_past_rejected():
+    sim = Simulator()
+    sim.run(until=12.0)
+    with pytest.raises(SimulationError, match="until"):
+        sim.run(until=5.0)
+    assert sim.now == 12.0
+    fired = []
+
+    def body():
+        yield sim.timeout(1.0)
+        fired.append(sim.now)
+
+    sim.process(body())
+    sim.run()
+    assert fired == [13.0]
+
+
+def test_nan_timeout_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.timeout(float("nan"))
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+
+
+# -- every branch of the dispatch loop ------------------------------------
+
+def _raise_before_first_yield(sim):
+    raise ValueError("early")
+    yield sim.timeout(1.0)  # pragma: no cover - makes this a generator
+
+
+def test_process_raising_before_first_yield_reaches_its_joiner():
+    sim = Simulator()
+
+    def parent():
+        try:
+            yield sim.process(_raise_before_first_yield(sim))
+        except ValueError as exc:
+            return f"caught {exc}", sim.now
+
+    assert sim.run_process(parent()) == ("caught early", 0.0)
+
+
+def test_process_raising_before_first_yield_surfaces_from_run():
+    sim = Simulator()
+    sim.process(_raise_before_first_yield(sim))
+    with pytest.raises(ValueError, match="early"):
+        sim.run()
+    assert sim.now == 0.0
+
+
+def test_process_returning_without_yielding():
+    sim = Simulator()
+
+    def child():
+        return "instant"
+        yield  # pragma: no cover - makes this a generator
+
+    def parent():
+        proc = sim.process(child())
+        value = yield proc
+        return value, sim.now, proc.processed
+
+    assert sim.run_process(parent()) == ("instant", 0.0, True)
+    assert sim.run_process(child()) == "instant"
+
+
+def test_yielding_an_already_fired_event_continues_at_once():
+    sim = Simulator()
+    done = sim.event()
+    broken = sim.event()
+    done.succeed("ready")
+    broken.fail(KeyError("gone"))
+
+    def body():
+        # Both events fire before this process starts: one is yielded
+        # from the first step, the other after a wait.
+        value = yield done
+        yield sim.timeout(1.0)
+        try:
+            yield broken
+        except KeyError:
+            return value, sim.now
+
+    assert sim.run_process(body()) == ("ready", 1.0)
+
+
+def test_yielding_non_event_after_a_wait_surfaces_from_run():
+    sim = Simulator()
+
+    def body():
+        yield sim.timeout(2.0)
+        yield "not an event"
+
+    sim.process(body())
+    with pytest.raises(SimulationError, match="yielded"):
+        sim.run()
+    assert sim.now == 2.0
+
+
+@pytest.mark.parametrize("all_of_first", [True, False])
+def test_leg_watched_by_all_of_and_joiner_resumes_in_registration_order(
+        all_of_first):
+    # Each listener pushes a same-instant entry when it resumes, so the
+    # order of those entries is the order the listeners ran in.
+    sim = Simulator()
+    order = []
+
+    def leg():
+        yield sim.timeout(1.0)
+        return "leg"
+
+    def joiner(proc):
+        value = yield proc
+        yield sim.timeout(0.0)
+        order.append(("joiner", value, sim.now))
+
+    def all_of_waiter(condition):
+        values = yield condition
+        order.append(("all_of", values, sim.now))
+
+    proc = sim.process(leg())
+    if all_of_first:
+        condition = sim.all_of([proc])
+        sim.process(all_of_waiter(condition))
+        sim.process(joiner(proc))
+    else:
+        sim.process(joiner(proc))
+        sim.run(until=0.0)  # the joiner registers on proc first
+        condition = sim.all_of([proc])
+        sim.process(all_of_waiter(condition))
+    sim.run()
+    expected = [("all_of", ["leg"], 1.0), ("joiner", "leg", 1.0)]
+    assert order == (expected if all_of_first else expected[::-1])
+
+
+def test_all_of_over_an_already_finished_process():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1.0)
+        return 7
+
+    proc = sim.process(child())
+    sim.run()
+    assert proc.processed
+
+    def body():
+        values = yield sim.all_of([proc])
+        return values, sim.now
+
+    assert sim.run_process(body()) == ([7], 1.0)
+
+
+def test_failing_leg_under_unwatched_all_of_is_absorbed():
+    # The AllOf is the leg's listener, so the leg's failure goes to it
+    # rather than out of run(); with nobody waiting on the AllOf, the
+    # failure stays recorded on the condition.
+    sim = Simulator()
+
+    def bad():
+        yield sim.timeout(1.0)
+        raise KeyError("broken")
+
+    condition = sim.all_of([sim.process(bad())])
+    assert sim.run() == 1.0
+    assert condition.processed
+    assert not condition.ok
+    with pytest.raises(KeyError):
+        _ = condition.value
+
+
+def test_run_process_returning_at_start_leaves_same_instant_entries():
+    sim = Simulator()
+    fired = []
+
+    def side():
+        fired.append(sim.now)
+        yield sim.timeout(0.0)
+
+    def body():
+        sim.process(side())
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    assert sim.run_process(body()) == "done"
+    assert fired == []
+    sim.run()
+    assert fired == [0.0]

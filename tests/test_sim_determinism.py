@@ -1,11 +1,11 @@
 """The optimized kernel must stay deterministic: identical workloads on
 fresh Simulators must schedule the identical sequence of heap entries.
 
-The trace is captured by hooking ``heapq.heappush`` rather than
-``Simulator._enqueue`` — the ``Simulator.timeout()`` fast path pushes
-its heap entry inline and never goes through ``_enqueue``, so only the
-heappush chokepoint sees every scheduling action.  Each trace record is
-a ``(time, kind, event-type, component)`` tuple.
+The trace is captured by hooking ``heapq.heappush``: the kernel pushes
+every heap entry inline (timeouts, triggered events, process starts and
+finishes), and looks the function up at each call, so that chokepoint
+sees every scheduling action.  Each trace record is a
+``(time, kind, event-type, component)`` tuple.
 """
 
 from __future__ import annotations
