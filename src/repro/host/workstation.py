@@ -68,11 +68,8 @@ class Workstation:
         yield from self._dma(nbytes)
 
     def _dma(self, nbytes: int):
-        legs = [
-            self.sim.process(self.backplane.transfer(nbytes)),
-            self.sim.process(self.memory.transfer(nbytes)),
-        ]
-        yield self.sim.all_of(legs)
+        yield self.sim.fork([self.backplane.transfer(nbytes),
+                             self.memory.transfer(nbytes)])
 
     def cpu_utilization(self, elapsed: float) -> float:
         if elapsed <= 0:

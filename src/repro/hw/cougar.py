@@ -112,15 +112,12 @@ class CougarController:
                 # data legs so it extends the critical path.
                 self._m_contention_events.inc()
                 yield sim.timeout(self.spec.dual_string_penalty_s)
-            legs = [
-                sim.process(disk.read(lba, nsectors), name=read_name),
-                sim.process(string.transfer(nbytes), name=xfer_name),
-                sim.process(self._controller_transfer(nbytes),
-                            name=self._xfer_name),
-            ]
             inflight[index] += 1
             try:
-                values = yield sim.all_of(legs)
+                values = yield sim.fork(
+                    [disk.read(lba, nsectors), string.transfer(nbytes),
+                     self._controller_transfer(nbytes)],
+                    (read_name, xfer_name, self._xfer_name))
             finally:
                 inflight[index] -= 1
             return values[0]
@@ -136,16 +133,13 @@ class CougarController:
             if sum(inflight) > inflight[index]:
                 self._m_contention_events.inc()
                 yield sim.timeout(self.spec.dual_string_penalty_s)
-            legs = [
-                sim.process(disk.write(lba, data), name=write_name),
-                sim.process(string.transfer(nbytes, write=True),
-                            name=xfer_name),
-                sim.process(self._controller_transfer(nbytes),
-                            name=self._xfer_name),
-            ]
             inflight[index] += 1
             try:
-                yield sim.all_of(legs)
+                yield sim.fork(
+                    [disk.write(lba, data),
+                     string.transfer(nbytes, write=True),
+                     self._controller_transfer(nbytes)],
+                    (write_name, xfer_name, self._xfer_name))
             finally:
                 inflight[index] -= 1
             return None

@@ -86,12 +86,11 @@ class XbusDiskPath:
         sim = self.board.sim
         nbytes = nsectors * SECTOR_SIZE
         with sim.tracer.span("xbus.disk_read", self.name, nbytes=nbytes):
-            legs = [
-                sim.process(self.cougar.read(self.disk, lba, nsectors)),
-                sim.process(self.port.transfer(nbytes, Direction.READ)),
-                sim.process(self.board.memory.access(nbytes)),
-            ]
-            values = yield sim.all_of(legs)
+            values = yield sim.fork([
+                self.cougar.read(self.disk, lba, nsectors),
+                self.port.transfer(nbytes, Direction.READ),
+                self.board.memory.access(nbytes),
+            ])
             return values[0]
 
     def write(self, lba: int, data: bytes):
@@ -99,12 +98,11 @@ class XbusDiskPath:
         sim = self.board.sim
         with sim.tracer.span("xbus.disk_write", self.name,
                              nbytes=len(data)):
-            legs = [
-                sim.process(self.board.memory.access(len(data))),
-                sim.process(self.port.transfer(len(data), Direction.WRITE)),
-                sim.process(self.cougar.write(self.disk, lba, data)),
-            ]
-            yield sim.all_of(legs)
+            yield sim.fork([
+                self.board.memory.access(len(data)),
+                self.port.transfer(len(data), Direction.WRITE),
+                self.cougar.write(self.disk, lba, data),
+            ])
             return None
 
 
@@ -192,22 +190,20 @@ class XbusBoard:
         """Process: XBUS memory -> HIPPI source port -> network."""
         with self.sim.tracer.span("xbus.send_hippi", self.name,
                                   nbytes=nbytes):
-            legs = [
-                self.sim.process(self.memory.access(nbytes)),
-                self.sim.process(self.hippi_source.send(nbytes, packets)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([
+                self.memory.access(nbytes),
+                self.hippi_source.send(nbytes, packets),
+            ])
             return None
 
     def receive_hippi(self, nbytes: int, packets: int = 1):
         """Process: network -> HIPPI destination port -> XBUS memory."""
         with self.sim.tracer.span("xbus.receive_hippi", self.name,
                                   nbytes=nbytes):
-            legs = [
-                self.sim.process(self.hippi_dest.send(nbytes, packets)),
-                self.sim.process(self.memory.access(nbytes)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([
+                self.hippi_dest.send(nbytes, packets),
+                self.memory.access(nbytes),
+            ])
             return None
 
     def hippi_loopback(self, nbytes: int, packets: int = 1):
@@ -219,11 +215,10 @@ class XbusBoard:
         """
         with self.sim.tracer.span("xbus.hippi_loopback", self.name,
                                   nbytes=nbytes):
-            legs = [
-                self.sim.process(self.send_hippi(nbytes, packets)),
-                self.sim.process(self.receive_hippi(nbytes, packets)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([
+                self.send_hippi(nbytes, packets),
+                self.receive_hippi(nbytes, packets),
+            ])
             return None
 
     # ------------------------------------------------------------------
@@ -232,24 +227,20 @@ class XbusBoard:
     def to_host(self, nbytes: int):
         """Process: XBUS memory -> control port (toward host memory)."""
         with self.sim.tracer.span("xbus.to_host", self.name, nbytes=nbytes):
-            legs = [
-                self.sim.process(self.memory.access(nbytes)),
-                self.sim.process(
-                    self.control_port.transfer(nbytes, Direction.WRITE)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([
+                self.memory.access(nbytes),
+                self.control_port.transfer(nbytes, Direction.WRITE),
+            ])
             return None
 
     def from_host(self, nbytes: int):
         """Process: control port -> XBUS memory."""
         with self.sim.tracer.span("xbus.from_host", self.name,
                                   nbytes=nbytes):
-            legs = [
-                self.sim.process(
-                    self.control_port.transfer(nbytes, Direction.READ)),
-                self.sim.process(self.memory.access(nbytes)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([
+                self.control_port.transfer(nbytes, Direction.READ),
+                self.memory.access(nbytes),
+            ])
             return None
 
     # ------------------------------------------------------------------
@@ -262,9 +253,8 @@ class XbusBoard:
         """
         traffic = sum(len(block) for block in blocks) + len(blocks[0])
         with self.sim.tracer.span("xbus.parity", self.name, nbytes=traffic):
-            legs = [
-                self.sim.process(self.parity_engine.compute(blocks)),
-                self.sim.process(self.memory.access(traffic)),
-            ]
-            values = yield self.sim.all_of(legs)
+            values = yield self.sim.fork([
+                self.parity_engine.compute(blocks),
+                self.memory.access(traffic),
+            ])
             return values[0]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 from repro.errors import (CorruptFileSystemError, DirectoryNotEmptyFsError,
@@ -45,6 +46,8 @@ MAX_FILE_BLOCKS = N_DIRECT + ADDRS_PER_BLOCK + ADDRS_PER_BLOCK ** 2
 _MAX_CHUNK = 1 + ADDRS_PER_BLOCK  # chunk 0 plus the droot's children
 
 ROOT_INO = 1
+
+_state_of = attrgetter("state")
 
 
 @dataclass(frozen=True)
@@ -540,10 +543,9 @@ class LogStructuredFS:
             else:
                 extents.append((slot, addr, 1))
 
-        procs = [self.sim.process(self.device.read(
-            addr * BLOCK_SIZE, count * BLOCK_SIZE))
-            for _slot, addr, count in extents]
-        extent_data = yield self.sim.all_of(procs)
+        extent_data = yield self.sim.fork([
+            self.device.read(addr * BLOCK_SIZE, count * BLOCK_SIZE)
+            for _slot, addr, count in extents])
 
         assembled = bytearray((fetch_last - first + 1) * BLOCK_SIZE)
         for slot, (addr, payload) in enumerate(resolved):
@@ -978,8 +980,8 @@ class LogStructuredFS:
             raise FileSystemError("file system is not mounted")
 
     def free_segments(self) -> int:
-        return sum(1 for entry in self.usage
-                   if entry.state == SegmentState.CLEAN)
+        # Counted in C: callers poll this after every request.
+        return list(map(_state_of, self.usage)).count(SegmentState.CLEAN)
 
     def statfs(self) -> dict:
         """Instant summary of log occupancy."""

@@ -24,6 +24,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import CorruptFileSystemError
 
@@ -201,9 +202,12 @@ class Checkpoint:
 # fragment summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockId:
-    """Identity of one logged block."""
+class BlockId(NamedTuple):
+    """Identity of one logged block.
+
+    A named tuple: it keys the segment writer's pending index, so its
+    hash and equality are the tuple's, computed in C.
+    """
 
     kind: BlockKind
     ino: int

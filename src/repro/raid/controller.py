@@ -142,10 +142,9 @@ class _BaseController:
         with self.sim.tracer.span("raid.read", self.name, nbytes=nbytes,
                                   offset=offset):
             pieces = self.layout.map_data(offset, nbytes)
-            procs = [self.sim.process(self._read_piece(piece),
-                                      name="piece-read")
-                     for piece in pieces]
-            values = yield self.sim.all_of(procs)
+            values = yield self.sim.fork(
+                [self._read_piece(piece) for piece in pieces],
+                ["piece-read"] * len(pieces))
             return b"".join(values)
 
     def _read_piece(self, piece: Piece):
@@ -178,13 +177,10 @@ class _BaseController:
             by_row: dict[int, list[Piece]] = {}
             for piece in pieces:
                 by_row.setdefault(piece.row, []).append(piece)
-            procs = [
-                self.sim.process(
-                    self._write_row(row, row_pieces, offset, data),
-                    name=f"{self.name}.row{row}.write")
-                for row, row_pieces in by_row.items()
-            ]
-            yield self.sim.all_of(procs)
+            yield self.sim.fork(
+                [self._write_row(row, row_pieces, offset, data)
+                 for row, row_pieces in by_row.items()],
+                [f"{self.name}.row{row}.write" for row in by_row])
             return None
 
     def _write_row(self, row: int, pieces: list[Piece], offset: int,
@@ -341,13 +337,12 @@ class Raid0Controller(_BaseController):
                                   nbytes=len(data), offset=offset):
             pieces = self.layout.map_data(offset, len(data))
             view = memoryview(data)  # pieces are views; disks copy at poke
-            procs = []
+            writes = []
             for piece in pieces:
                 start = piece.logical_offset - offset
-                payload = view[start:start + piece.nbytes]
-                procs.append(self.sim.process(
-                    self.paths[piece.disk].write(piece.lba, payload)))
-            yield self.sim.all_of(procs)
+                writes.append(self.paths[piece.disk].write(
+                    piece.lba, view[start:start + piece.nbytes]))
+            yield self.sim.fork(writes)
             return None
 
 
@@ -408,17 +403,17 @@ class Raid1Controller(_BaseController):
         lock = self._row_lock(row)
         yield lock.acquire()
         try:
-            procs = [
-                self.sim.process(self._data_write(
-                    disk, piece.lba, self._payload_of(piece, offset, data)))
+            writes = [
+                self._data_write(
+                    disk, piece.lba, self._payload_of(piece, offset, data))
                 for piece in pieces
                 for disk in (piece.disk, self._layout1.mirror_of(piece.disk))
                 if not self.paths[disk].disk.failed
             ]
-            if not procs:
+            if not writes:
                 raise UnrecoverableArrayError(
                     f"{self.name}: no surviving copy to write")
-            yield self.sim.all_of(procs)
+            yield self.sim.fork(writes)
         finally:
             lock.release()
         return None
@@ -507,9 +502,8 @@ class Raid5Controller(_BaseController):
         """Process: rebuild ``nsectors`` of ``failed_disk``'s unit in ``row``."""
         others = self._surviving(self._row_disks(row), failed_disk, row)
         lba = self.layout.row_lba(row) + sector_offset
-        procs = [self.sim.process(self._read_unit(disk, lba, nsectors))
-                 for disk in others]
-        blocks = yield self.sim.all_of(procs)
+        blocks = yield self.sim.fork(
+            [self._read_unit(disk, lba, nsectors) for disk in others])
         parity = yield from self.parity.compute(blocks)
         return parity
 
@@ -524,7 +518,9 @@ class Raid5Controller(_BaseController):
     # ------------------------------------------------------------------
     def _write_row(self, row: int, pieces: list[Piece], offset: int,
                    data: memoryview):
-        covered = sum(piece.nbytes for piece in pieces)
+        # A row's pieces are consecutive slices of one logical range.
+        last = pieces[-1]
+        covered = last.logical_offset + last.nbytes - pieces[0].logical_offset
         with self.sim.tracer.span("raid.write_row", self.name,
                                   nbytes=covered, row=row) as span:
             lock = self._row_lock(row)
@@ -537,7 +533,8 @@ class Raid5Controller(_BaseController):
                     yield from self._full_stripe_write(row, pieces, offset,
                                                        data)
                 else:
-                    yield from self._partial_write(row, pieces, offset, data)
+                    yield from self._partial_write(row, pieces, covered,
+                                                   offset, data)
             finally:
                 lock.release()
             return None
@@ -564,50 +561,47 @@ class Raid5Controller(_BaseController):
                            data: memoryview):
         self._m_full_stripe_writes.inc()
         layout = self._layout5
-        ordered = sorted(pieces, key=lambda p: p.logical_offset)
+        # The pieces come from map_data, already in logical order.
         unit_payloads = [self._payload_of(piece, offset, data)
-                         for piece in ordered]
+                         for piece in pieces]
         parity_disk = layout.parity_disk(row)
         lba = self.layout.row_lba(row)
         data_writes = [
             self.sim.process(self._data_write(piece.disk, piece.lba,
                                               payload))
-            for piece, payload in zip(ordered, unit_payloads)
+            for piece, payload in zip(pieces, unit_payloads)
             if not self.paths[piece.disk].disk.failed
         ]
         yield from self._write_with_parity(data_writes, parity_disk, lba,
                                            unit_payloads)
         return None
 
-    def _partial_write(self, row: int, pieces: list[Piece], offset: int,
-                       data: memoryview):
-        layout = self._layout5
-        parity_disk = layout.parity_disk(row)
-        parity_failed = self.unavailable(parity_disk, row)
-        target_failed = any(self.unavailable(p.disk, row) for p in pieces)
-
-        if parity_failed and target_failed:
-            raise UnrecoverableArrayError(
-                f"{self.name}: write to row {row} lost both a data disk "
-                "and the parity disk")
-        if parity_failed:
-            # No parity to maintain: just write the surviving data.
-            procs = [
-                self.sim.process(self._data_write(
-                    p.disk, p.lba, self._payload_of(p, offset, data)))
-                for p in pieces
-            ]
-            yield self.sim.all_of(procs)
-            return None
-        if target_failed or self._any_row_disk_failed(row):
-            yield from self._degraded_row_write(row, pieces, offset, data)
+    def _partial_write(self, row: int, pieces: list[Piece], covered: int,
+                       offset: int, data: memoryview):
+        if self._row_degraded(row):
+            parity_failed = self.unavailable(self._layout5.parity_disk(row),
+                                             row)
+            target_failed = any(self.unavailable(p.disk, row)
+                                for p in pieces)
+            if parity_failed and target_failed:
+                raise UnrecoverableArrayError(
+                    f"{self.name}: write to row {row} lost both a data "
+                    "disk and the parity disk")
+            if parity_failed:
+                # No parity to maintain: just write the surviving data.
+                yield self.sim.fork([
+                    self._data_write(p.disk, p.lba,
+                                     self._payload_of(p, offset, data))
+                    for p in pieces])
+            else:
+                yield from self._degraded_row_write(row, pieces, offset,
+                                                    data)
             return None
         # Choose the cheaper healthy-path update: the classic
         # read-modify-write touches the written extents plus parity,
         # while a reconstruct-write reads only the *untouched* units.
         row_bytes = (self.layout.data_units_per_row
                      * self.layout.stripe_unit_bytes)
-        covered = sum(piece.nbytes for piece in pieces)
         try:
             if covered * 2 > row_bytes:
                 yield from self._reconstruct_write(row, pieces, offset, data)
@@ -621,8 +615,18 @@ class Raid5Controller(_BaseController):
             yield from self._degraded_row_write(row, pieces, offset, data)
         return None
 
-    def _any_row_disk_failed(self, row: int) -> bool:
-        return any(self.unavailable(d, row) for d in self._row_disks(row))
+    def _row_degraded(self, row: int) -> bool:
+        """True when any disk's unit of ``row`` is :meth:`unavailable`
+        (every disk holds one): one pass over the drives and the
+        rebuild frontiers."""
+        for path in self.paths:
+            drive = path.disk
+            if drive.failed or drive.replacement:
+                return True
+        for frontier in self._rebuild_frontier.values():
+            if row >= frontier:
+                return True
+        return False
 
     def _rmw_write(self, row: int, pieces: list[Piece], offset: int,
                    data: memoryview):
@@ -640,12 +644,10 @@ class Raid5Controller(_BaseController):
         parity_lba = self.layout.row_lba(row) + lo // SECTOR_SIZE
         parity_sectors = (hi - lo) // SECTOR_SIZE
 
-        read_procs = [self.sim.process(
-            self._read_unit(piece.disk, piece.lba, piece.nsectors))
-            for piece in pieces]
-        read_procs.append(self.sim.process(
-            self._read_unit(parity_disk, parity_lba, parity_sectors)))
-        old_values = yield self.sim.all_of(read_procs)
+        reads = [self._read_unit(piece.disk, piece.lba, piece.nsectors)
+                 for piece in pieces]
+        reads.append(self._read_unit(parity_disk, parity_lba, parity_sectors))
+        old_values = yield self.sim.fork(reads)
         old_data, old_parity = old_values[:-1], old_values[-1]
 
         # Build equal-length delta blocks over [lo, hi) and XOR them
@@ -682,9 +684,10 @@ class Raid5Controller(_BaseController):
         lba = self.layout.row_lba(row)
         nsectors = self.layout.unit_sectors
 
+        piece_units = [self._unit_index_in_row(row, piece.disk)
+                       for piece in pieces]
         by_unit: dict[int, list[Piece]] = {}
-        for piece in pieces:
-            k = self._unit_index_in_row(row, piece.disk)
+        for k, piece in zip(piece_units, pieces):
             by_unit.setdefault(k, []).append(piece)
 
         # The new data can start flowing to its disks immediately — the
@@ -696,17 +699,16 @@ class Raid5Controller(_BaseController):
         data_writes = [self.sim.process(
             self._data_write(piece.disk, piece.lba,
                              self._payload_of(piece, offset, data)))
-            for piece in pieces
-            if self._unit_index_in_row(row, piece.disk) in fully_covered]
+            for k, piece in zip(piece_units, pieces)
+            if k in fully_covered]
 
         fetch_units = [
             k for k in range(self.layout.data_units_per_row)
             if k not in fully_covered
         ]
-        read_procs = [self.sim.process(
-            self._read_unit(layout.data_disk(row, k), lba, nsectors))
-            for k in fetch_units]
-        old_blocks = yield self.sim.all_of(read_procs)
+        old_blocks = yield self.sim.fork(
+            [self._read_unit(layout.data_disk(row, k), lba, nsectors)
+             for k in fetch_units])
 
         images: list[bytearray] = [bytearray(unit)
                                    for _ in range(self.layout.data_units_per_row)]
@@ -724,8 +726,8 @@ class Raid5Controller(_BaseController):
         data_writes += [self.sim.process(
             self._data_write(piece.disk, piece.lba,
                              self._payload_of(piece, offset, data)))
-            for piece in pieces
-            if self._unit_index_in_row(row, piece.disk) not in fully_covered]
+            for k, piece in zip(piece_units, pieces)
+            if k not in fully_covered]
         yield from self._write_with_parity(data_writes, parity_disk, lba,
                                            final)
         return None
@@ -769,26 +771,26 @@ class Raid5Controller(_BaseController):
         final = images  # compared/written as-is; disks copy at poke
         parity_block = yield from self.parity.compute(final)
 
-        procs = []
+        writes = []
         for k in range(self.layout.data_units_per_row):
             disk = layout.data_disk(row, k)
             if self.paths[disk].disk.failed:
                 continue
             if final[k] == units[k]:
                 continue  # unchanged unit
-            procs.append(self.sim.process(
-                self._data_write(disk, lba, final[k])))
-        procs.append(self.sim.process(
-            self._data_write(parity_disk, lba, parity_block)))
-        yield self.sim.all_of(procs)
+            writes.append(self._data_write(disk, lba, final[k]))
+        writes.append(self._data_write(parity_disk, lba, parity_block))
+        yield self.sim.fork(writes)
         return None
 
     def _unit_index_in_row(self, row: int, disk: int) -> int:
+        """Inverse of ``data_disk``: the data units of a row follow its
+        parity disk round-robin."""
         layout = self._layout5
-        for k in range(self.layout.data_units_per_row):
-            if layout.data_disk(row, k) == disk:
-                return k
-        raise RaidError(f"disk {disk} holds no data unit in row {row}")
+        k = (disk - layout.parity_disk(row) - 1) % layout.num_disks
+        if k == layout.data_units_per_row or not 0 <= disk < layout.num_disks:
+            raise RaidError(f"disk {disk} holds no data unit in row {row}")
+        return k
 
 
 class Raid3Controller(_BaseController):
@@ -827,11 +829,9 @@ class Raid3Controller(_BaseController):
     def _read_rows(self, first_row: int, last_row: int):
         """Process: read full rows from all data disks; returns buffers."""
         nrows = last_row - first_row + 1
-        procs = [
-            self.sim.process(self._read_disk_rows(d, first_row, nrows))
-            for d in range(self.layout.data_units_per_row)
-        ]
-        buffers = yield self.sim.all_of(procs)
+        buffers = yield self.sim.fork(
+            [self._read_disk_rows(d, first_row, nrows)
+             for d in range(self.layout.data_units_per_row)])
         return buffers
 
     def _read_disk_rows(self, disk: int, first_row: int, nrows: int):
@@ -854,9 +854,8 @@ class Raid3Controller(_BaseController):
             if self.unavailable(d, row + nrows - 1):
                 raise UnrecoverableArrayError(
                     f"{self.name}: second failure on disk {d}")
-        procs = [self.sim.process(self._read_unit(d, row, nrows))
-                 for d in others]
-        blocks = yield self.sim.all_of(procs)
+        blocks = yield self.sim.fork(
+            [self._read_unit(d, row, nrows) for d in others])
         data = yield from self.parity.compute(blocks)
         return data
 
@@ -922,14 +921,11 @@ class Raid3Controller(_BaseController):
                 ndisks = self.layout.data_units_per_row
                 buffers = self._deinterleave(logical, ndisks)
                 parity = yield from self.parity.compute(buffers)
-                procs = [
-                    self.sim.process(self._data_write(d, first, buffers[d]))
-                    for d in range(ndisks)
-                ]
-                parity_disk = self._layout3.parity_disk(0)
-                procs.append(self.sim.process(
-                    self._data_write(parity_disk, first, parity)))
-                yield self.sim.all_of(procs)
+                writes = [self._data_write(d, first, buffers[d])
+                          for d in range(ndisks)]
+                writes.append(self._data_write(
+                    self._layout3.parity_disk(0), first, parity))
+                yield self.sim.fork(writes)
                 return None
             finally:
                 self._array_lock.release()

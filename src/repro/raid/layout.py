@@ -13,30 +13,31 @@ sequential requests maximum parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import RaidError
 from repro.units import SECTOR_SIZE
 
 
-@dataclass(frozen=True)
 class Piece:
     """One contiguous slice of a request on one disk.
 
     ``logical_offset`` is where the piece starts in the logical address
     space; ``unit_offset`` is its byte offset within its stripe unit.
+    Read-only by convention: a slotted class rather than a frozen
+    dataclass, since every request builds one per unit it touches.
     """
 
-    logical_offset: int
-    nbytes: int
-    disk: int
-    lba: int
-    row: int
-    unit_offset: int
+    __slots__ = ("logical_offset", "nbytes", "nsectors", "disk", "lba",
+                 "row", "unit_offset")
 
-    @property
-    def nsectors(self) -> int:
-        return self.nbytes // SECTOR_SIZE
+    def __init__(self, logical_offset: int, nbytes: int, disk: int,
+                 lba: int, row: int, unit_offset: int):
+        self.logical_offset = logical_offset
+        self.nbytes = nbytes
+        self.nsectors = nbytes // SECTOR_SIZE
+        self.disk = disk
+        self.lba = lba
+        self.row = row
+        self.unit_offset = unit_offset
 
 
 class _StripedLayout:
@@ -90,20 +91,24 @@ class _StripedLayout:
         """Split a logical range into per-disk pieces (unit granularity)."""
         self.check_range(offset, nbytes)
         unit = self.stripe_unit_bytes
+        per_row = self.data_units_per_row
+        unit_sectors = self.unit_sectors
+        data_disk = self.data_disk
         pieces: list[Piece] = []
         position = offset
         end = offset + nbytes
         while position < end:
             unit_index = position // unit
             unit_offset = position % unit
-            take = min(unit - unit_offset, end - position)
-            row = unit_index // self.data_units_per_row
-            k = unit_index % self.data_units_per_row
-            disk = self.data_disk(row, k)
-            lba = self.row_lba(row) + unit_offset // SECTOR_SIZE
+            take = unit - unit_offset
+            if take > end - position:
+                take = end - position
+            row = unit_index // per_row
+            k = unit_index % per_row
             pieces.append(Piece(
-                logical_offset=position, nbytes=take, disk=disk, lba=lba,
-                row=row, unit_offset=unit_offset))
+                position, take, data_disk(row, k),
+                row * unit_sectors + unit_offset // SECTOR_SIZE, row,
+                unit_offset))
             position += take
         return pieces
 
@@ -146,8 +151,9 @@ class Raid5Layout(_StripedLayout):
         return self.num_disks - 1 - (row % self.num_disks)
 
     def data_disk(self, row: int, k: int) -> int:
-        parity = self.parity_disk(row)
-        return (parity + 1 + k) % self.num_disks
+        # (parity_disk(row) + 1 + k) mod N, with the parity disk
+        # N - 1 - (row mod N) folded in.
+        return (k - row) % self.num_disks
 
 
 class Raid1Layout(_StripedLayout):

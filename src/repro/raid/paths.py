@@ -46,18 +46,16 @@ class DirectDiskPath:
         return self.disk.name
 
     def read(self, lba: int, nsectors: int):
-        sim = self.disk.sim
-        legs = [sim.process(self.disk.read(lba, nsectors))]
         nbytes = nsectors * SECTOR_SIZE
+        legs = [self.disk.read(lba, nsectors)]
         for channel in self.extra_channels:
-            legs.append(sim.process(channel.transfer(nbytes)))
-        values = yield sim.all_of(legs)
+            legs.append(channel.transfer(nbytes))
+        values = yield self.disk.sim.fork(legs)
         return values[0]
 
     def write(self, lba: int, data: bytes):
-        sim = self.disk.sim
-        legs = [sim.process(self.disk.write(lba, data))]
+        legs = [self.disk.write(lba, data)]
         for channel in self.extra_channels:
-            legs.append(sim.process(channel.transfer(len(data))))
-        yield sim.all_of(legs)
+            legs.append(channel.transfer(len(data)))
+        yield self.disk.sim.fork(legs)
         return None

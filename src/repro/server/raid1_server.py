@@ -38,24 +38,20 @@ class HostedDiskPath:
         self.disk = disk
 
     def read(self, lba: int, nsectors: int):
-        sim = self.disk.sim
         nbytes = nsectors * SECTOR_SIZE
-        legs = [
-            sim.process(self.controller.read(self.disk, lba, nsectors)),
-            sim.process(self.host.backplane.transfer(nbytes)),
-            sim.process(self.host.memory.transfer(nbytes)),
-        ]
-        values = yield sim.all_of(legs)
+        values = yield self.disk.sim.fork([
+            self.controller.read(self.disk, lba, nsectors),
+            self.host.backplane.transfer(nbytes),
+            self.host.memory.transfer(nbytes),
+        ])
         return values[0]
 
     def write(self, lba: int, data: bytes):
-        sim = self.disk.sim
-        legs = [
-            sim.process(self.host.memory.transfer(len(data))),
-            sim.process(self.host.backplane.transfer(len(data))),
-            sim.process(self.controller.write(self.disk, lba, data)),
-        ]
-        yield sim.all_of(legs)
+        yield self.disk.sim.fork([
+            self.host.memory.transfer(len(data)),
+            self.host.backplane.transfer(len(data)),
+            self.controller.write(self.disk, lba, data),
+        ])
         return None
 
 

@@ -145,11 +145,8 @@ class Raid2Server:
         raid = self.raids[board_index]
         with self.sim.tracer.span("server.hw_read", self.name,
                                   nbytes=nbytes):
-            legs = [
-                self.sim.process(raid.read(offset, nbytes)),
-                self.sim.process(board.hippi_loopback(nbytes)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([raid.read(offset, nbytes),
+                                 board.hippi_loopback(nbytes)])
             return None
 
     def hw_write(self, offset: int, nbytes: int, board_index: int = 0,
@@ -163,11 +160,8 @@ class Raid2Server:
         payload = bytes([fill]) * nbytes
         with self.sim.tracer.span("server.hw_write", self.name,
                                   nbytes=nbytes):
-            legs = [
-                self.sim.process(board.hippi_loopback(nbytes)),
-                self.sim.process(raid.write(offset, payload)),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([board.hippi_loopback(nbytes),
+                                 raid.write(offset, payload)])
             return None
 
     def hw_read_through_host(self, offset: int, nbytes: int,
@@ -185,11 +179,8 @@ class Raid2Server:
                                   nbytes=nbytes):
             for position, take in _chunks(offset, nbytes):
                 yield from raid.read(position, take)
-                legs = [
-                    self.sim.process(board.to_host(take)),
-                    self.sim.process(self.host.dma_in(take)),
-                ]
-                yield self.sim.all_of(legs)
+                yield self.sim.fork([board.to_host(take),
+                                     self.host.dma_in(take)])
                 yield from self.host.copy(take)
             return None
 
@@ -214,12 +205,11 @@ class Raid2Server:
             for position, take in _chunks(0, len(data)):
                 yield self.host.cpu.acquire()  # polling driver
                 try:
-                    legs = [
-                        self.sim.process(self.board.send_hippi(take)),
-                        self.sim.process(link.data(take)),
-                        self.sim.process(client.memory.transfer(3 * take)),
-                    ]
-                    yield self.sim.all_of(legs)
+                    yield self.sim.fork([
+                        self.board.send_hippi(take),
+                        link.data(take),
+                        client.memory.transfer(3 * take),
+                    ])
                 finally:
                     self.host.cpu.release()
             return data
@@ -237,12 +227,11 @@ class Raid2Server:
             yield from link.rpc()
             pending_write = None
             for position, take in _chunks(0, len(data)):
-                legs = [
-                    self.sim.process(client.memory.transfer(3 * take)),
-                    self.sim.process(link.data(take)),
-                    self.sim.process(self.board.receive_hippi(take)),
-                ]
-                yield self.sim.all_of(legs)
+                yield self.sim.fork([
+                    client.memory.transfer(3 * take),
+                    link.data(take),
+                    self.board.receive_hippi(take),
+                ])
                 if pending_write is not None:
                     yield pending_write
                 # The file-system work for this chunk overlaps the
@@ -275,11 +264,8 @@ class Raid2Server:
                 yield from self.ethernet.send(len(cached))
                 return cached
             data = yield from self.fs.read(path, offset, nbytes)
-            legs = [
-                self.sim.process(self.board.to_host(len(data))),
-                self.sim.process(self.host.dma_in(len(data))),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([self.board.to_host(len(data)),
+                                 self.host.dma_in(len(data))])
             self.host_cache.put((path, offset, nbytes), data)
             yield from self.ethernet.send(len(data))
             return data
@@ -295,11 +281,8 @@ class Raid2Server:
                                   nbytes=len(data), path=path):
             yield from self.host.handle_io()
             yield from self.ethernet.send(len(data))
-            legs = [
-                self.sim.process(self.host.dma_out(len(data))),
-                self.sim.process(self.board.from_host(len(data))),
-            ]
-            yield self.sim.all_of(legs)
+            yield self.sim.fork([self.host.dma_out(len(data)),
+                                 self.board.from_host(len(data))])
             self.host_cache.invalidate_where(lambda key: key[0] == path)
             yield from self.fs.write(path, offset, data)
             return None

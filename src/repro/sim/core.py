@@ -22,12 +22,14 @@ same-time entries fire in sequence order.  The optimizations below —
 ``__slots__``, direct process starts instead of bootstrap events,
 events and processes that push their own entries inline, the
 ``_waiter`` slot that holds an event's first listener (a process or an
-:class:`AllOf`) without a callbacks list, and the one dispatch loop
-(:meth:`Simulator._loop`), which batch-pops each instant and advances
-generators itself in the common cases behind one slow path
-(:meth:`Process._step`) — change wall-clock cost only, never simulated
-clocks or results.  ``heapq.heappush`` is looked up at every call, so
-trace tooling can hook it to see every scheduling action.
+:class:`AllOf`) without a callbacks list, :meth:`Simulator.fork`,
+which starts a stage's legs and builds their join in one call, and the
+one dispatch loop (:meth:`Simulator._loop`), which batch-pops each
+instant, advances generators itself in the common cases behind one
+slow path (:meth:`Process._step`) and counts joins down itself behind
+another (:meth:`AllOf._check`) — change wall-clock cost only, never
+simulated clocks or results.  ``heapq.heappush`` is looked up at every
+call, so trace tooling can hook it to see every scheduling action.
 
 Heap entries are ``(when, seq, kind, obj)`` tuples.  ``seq`` is unique,
 so comparisons never reach ``obj``.  Kinds:
@@ -43,7 +45,8 @@ from __future__ import annotations
 import heapq
 from itertools import count
 from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable, Optional, Union
+from typing import (Any, Callable, Generator, Iterable, Optional, Sequence,
+                    Union)
 
 from repro.errors import SimulationError
 from repro.obs.session import observe_simulator
@@ -52,6 +55,7 @@ _UNSET = object()
 
 _KIND_FIRE = 0
 _KIND_START = 1
+
 
 SimGenerator = Generator["Event", Any, Any]
 
@@ -62,6 +66,15 @@ _Listener = Union["Process", "AllOf", Callable[["Event"], None]]
 
 def _noop(_event: "Event") -> None:
     return None
+
+
+def _iterator_name(body: Any, name: str) -> str:
+    """A process body that is not a plain generator: accept any
+    iterator with ``send`` and name it; reject everything else."""
+    if not hasattr(body, "send"):
+        raise SimulationError(
+            f"process body must be a generator, got {body!r}")
+    return name or getattr(body, "__name__", "process")
 
 
 class Event:
@@ -171,7 +184,8 @@ class Process(Event):
 
     The process *is* the event of its own termination: its value is the
     generator's return value, and a failure inside the generator fails
-    the event.  Built only by :meth:`Simulator.process`.
+    the event.  Built only by :meth:`Simulator.process` and
+    :meth:`Simulator.fork`.
     """
 
     __slots__ = ("_generator", "name")
@@ -233,21 +247,16 @@ class AllOf(Event):
     """Fires when every constituent event has fired; value is their values.
 
     As a constituent's first listener it sits in that event's
-    ``_waiter`` slot, and the dispatch loop calls :meth:`_check`
-    directly.
+    ``_waiter`` slot, and the dispatch loop counts it down without a
+    call.  :meth:`_check` is the slow path: a failed constituent, a
+    join queued in a constituent's ``callbacks``, and constituents that
+    had already fired when the join was built.
     """
 
     __slots__ = ("_events", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        # Event.__init__ inlined, as in Simulator.timeout/process: every
-        # disk operation joins its legs through two of these.
-        self.sim = sim
-        self.callbacks = None
-        self._waiter = None
-        self._value = _UNSET
-        self._exc = None
-        self._processed = False
+        super().__init__(sim)
         constituents = self._events = list(events)
         self._pending = len(constituents)
         for event in constituents:
@@ -259,8 +268,6 @@ class AllOf(Event):
         for event in constituents:
             if event._processed:
                 self._check(event)
-            elif event._waiter is None and event.callbacks is None:
-                event._waiter = self
             else:
                 event._listen(self)
 
@@ -272,11 +279,7 @@ class AllOf(Event):
             return
         self._pending -= 1
         if self._pending == 0:
-            # succeed() without its re-check: this condition is untriggered.
-            self._value = [ev._value for ev in self._events]
-            sim = self.sim
-            heapq.heappush(sim._heap,
-                           (sim.now, next(sim._seq), _KIND_FIRE, self))
+            self.succeed([event._value for event in self._events])
 
 
 class Simulator:
@@ -313,14 +316,10 @@ class Simulator:
         return timeout
 
     def process(self, generator: SimGenerator, name: str = "") -> Process:
-        if type(generator) is GeneratorType:
-            if not name:
-                name = generator.__name__
-        elif hasattr(generator, "send"):
-            name = name or getattr(generator, "__name__", "process")
-        else:
-            raise SimulationError(
-                f"process body must be a generator, got {generator!r}")
+        if type(generator) is not GeneratorType:
+            name = _iterator_name(generator, name)
+        elif not name:
+            name = generator.__name__
         tracer = self.tracer
         if tracer.enabled:
             # Named from the original generator above: the determinism
@@ -340,6 +339,63 @@ class Simulator:
         heapq.heappush(self._heap,
                        (self.now, next(self._seq), _KIND_START, proc))
         return proc
+
+    def fork(self, generators: Sequence[SimGenerator],
+             names: Optional[Sequence[str]] = None) -> AllOf:
+        """Start one process per generator and return their join.
+
+        The same heap entries as ``all_of([process(g, n) ...])``: one
+        START entry per leg, in order, each leg named as
+        :meth:`process` names it.  Every leg is checked before the
+        first is pushed, and each leg's ``_waiter`` is the join from
+        birth, so nothing is registered after the fact.  An empty fork
+        succeeds at once with ``[]``, as ``all_of([])`` does.
+        """
+        join = AllOf.__new__(AllOf)
+        join.sim = self
+        join.callbacks = None
+        join._waiter = None
+        join._value = _UNSET
+        join._exc = None
+        join._processed = False
+        legs = join._events = []
+        for generator in generators:
+            leg = Process.__new__(Process)
+            leg.sim = self
+            leg.callbacks = None
+            leg._waiter = join
+            leg._value = _UNSET
+            leg._exc = None
+            leg._processed = False
+            leg._generator = generator
+            if type(generator) is GeneratorType:
+                leg.name = generator.__name__
+            else:
+                leg.name = _iterator_name(generator, "")
+            legs.append(leg)
+        if names is not None:
+            if len(names) != len(legs):
+                raise SimulationError(
+                    f"fork got {len(legs)} generators but "
+                    f"{len(names)} names")
+            for leg, name in zip(legs, names):
+                if name:
+                    leg.name = name
+        join._pending = len(legs)
+        tracer = self.tracer
+        if tracer.enabled:
+            # After naming, as in process().
+            for leg in legs:
+                leg._generator = tracer.scoped(leg._generator)
+        heap = self._heap
+        seq = self._seq
+        now = self.now
+        for leg in legs:
+            heapq.heappush(heap, (now, next(seq), _KIND_START, leg))
+        if not legs:
+            join._value = []
+            heapq.heappush(heap, (now, next(seq), _KIND_FIRE, join))
+        return join
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -394,11 +450,17 @@ class Simulator:
         If it yields an idle event (no listener, not yet fired), the
         process takes that event's ``_waiter`` slot; if it returns, the
         process pushes its own FIRE entry.  Everything else goes through
-        :meth:`Process._step`.
+        :meth:`Process._step`.  A FIRE entry whose first listener is an
+        :class:`AllOf` counts down the join here, and the last
+        constituent pushes the join's own FIRE entry; a failed
+        constituent goes through :meth:`AllOf._check`.
         """
         heap = self._heap
         heappop = heapq.heappop
         seq = self._seq
+        unset = _UNSET
+        join_type = AllOf
+        event_type = Event
         while heap:
             when = heap[0][0]
             if until is not None and when > until:
@@ -410,29 +472,43 @@ class Simulator:
             # ``until`` and re-reading the clock each time.
             while True:
                 _when, _seq, kind, obj = heappop(heap)
-                process: Optional[Process] = None
-                send: Any = None
-                callbacks: Optional[list[_Listener]] = None
-                if kind == _KIND_FIRE:
+                if kind:
+                    # START (unless the process already finished).
+                    callbacks = None
+                    if obj._value is unset and obj._exc is None:
+                        process, send = obj, None
+                    else:
+                        process = None
+                else:
                     obj._processed = True
-                    waiter = obj._waiter
-                    if waiter is not None:
-                        # The first listener runs before any listed
-                        # callback: the FIFO order one list would give.
-                        obj._waiter = None
-                        if type(waiter) is AllOf:
-                            waiter._check(obj)
-                        elif waiter._value is _UNSET and waiter._exc is None:
-                            if obj._exc is None:
-                                process, send = waiter, obj._value
-                            else:
-                                waiter._step(None, obj._exc)
                     # Nothing registers on a processed event, so the
                     # list is complete before the waiter resumes.
                     callbacks = obj.callbacks
-                elif obj._value is _UNSET and obj._exc is None:
-                    # START (unless the process already finished).
-                    process = obj
+                    waiter = obj._waiter
+                    process = None
+                    # The first listener runs before any listed
+                    # callback: the FIFO order one list would give.
+                    # A finished process or a triggered join ignores it.
+                    if waiter is not None:
+                        obj._waiter = None
+                        if (waiter._value is unset
+                                and waiter._exc is None):
+                            if type(waiter) is not join_type:
+                                if obj._exc is None:
+                                    process, send = waiter, obj._value
+                                else:
+                                    waiter._step(None, obj._exc)
+                            elif obj._exc is None:
+                                pending = waiter._pending - 1
+                                waiter._pending = pending
+                                if not pending:
+                                    # The last constituent: succeed.
+                                    waiter._value = [
+                                        leg._value for leg in waiter._events]
+                                    heapq.heappush(heap, (
+                                        when, next(seq), _KIND_FIRE, waiter))
+                            else:
+                                waiter._check(obj)
                 if process is not None:
                     try:
                         target = process._generator.send(send)
@@ -443,7 +519,7 @@ class Simulator:
                     except BaseException as exc:  # noqa: BLE001 - must capture all
                         process._fail_process(exc)
                     else:
-                        if (isinstance(target, Event)
+                        if (isinstance(target, event_type)
                                 and target._waiter is None
                                 and target.callbacks is None
                                 and not target._processed):
@@ -454,17 +530,17 @@ class Simulator:
                     obj.callbacks = None
                     for callback in callbacks:
                         if isinstance(callback, Process):
-                            if (callback._value is _UNSET
+                            if (callback._value is unset
                                     and callback._exc is None):
                                 callback._step(obj._value, obj._exc)
-                        elif isinstance(callback, AllOf):
+                        elif isinstance(callback, join_type):
                             callback._check(obj)
                         else:
                             callback(obj)
                 if self._crashed is not None:
                     crashed, self._crashed = self._crashed, None
                     raise crashed
-                if proc is not None and (proc._value is not _UNSET
+                if proc is not None and (proc._value is not unset
                                          or proc._exc is not None):
                     return
                 if not heap or heap[0][0] != when:

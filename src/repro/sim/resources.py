@@ -11,7 +11,7 @@ from collections import deque
 from typing import Deque
 
 from repro.errors import SimulationError
-from repro.sim.core import _KIND_FIRE, Event, Simulator
+from repro.sim.core import _KIND_FIRE, _UNSET, Event, Simulator
 
 
 class Resource:
@@ -43,7 +43,13 @@ class Resource:
 
     def acquire(self) -> Event:
         sim = self.sim
-        event = Event(sim)
+        # Event.__init__ inlined, as in Simulator.timeout/process.
+        event = Event.__new__(Event)
+        event.sim = sim
+        event.callbacks = None
+        event._waiter = None
+        event._exc = None
+        event._processed = False
         if self._in_use < self.capacity:
             # Granted at once: succeed() with its entry pushed inline.
             self._in_use += 1
@@ -51,6 +57,7 @@ class Resource:
             heapq.heappush(sim._heap,
                            (sim.now, next(sim._seq), _KIND_FIRE, event))
         else:
+            event._value = _UNSET
             self._waiters.append(event)
         return event
 

@@ -61,11 +61,12 @@ def run_request_stream(sim: Simulator, op_factory: OpFactory,
     else:
         lanes = [list(requests[lane::concurrency])
                  for lane in range(concurrency)]
-        procs = [sim.process(worker(lane), name=f"worker{i}")
-                 for i, lane in enumerate(lanes) if lane]
+        workers = sim.fork([worker(lane) for lane in lanes if lane],
+                           [f"worker{i}" for i, lane in enumerate(lanes)
+                            if lane])
 
         def join():
-            yield sim.all_of(procs)
+            yield workers
 
         sim.run_process(join())
     elapsed = sim.now - start

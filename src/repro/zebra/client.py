@@ -160,15 +160,15 @@ class ZebraClient:
             for index in range(self._nstripe_data)
         ]
         parity = xor_blocks(fragments)
-        procs = []
+        stores = []
         for position, fragment in enumerate(fragments):
             server = self.servers[self.data_server(stripe, position)]
-            procs.append(self.sim.process(
-                server.store((self.client_id, stripe, position), fragment)))
+            stores.append(
+                server.store((self.client_id, stripe, position), fragment))
         parity_node = self.servers[self.parity_server(stripe)]
-        procs.append(self.sim.process(parity_node.store(
-            (self.client_id, stripe, self._nstripe_data), parity)))
-        yield self.sim.all_of(procs)
+        stores.append(parity_node.store(
+            (self.client_id, stripe, self._nstripe_data), parity))
+        yield self.sim.fork(stores)
         self._stripe_index += 1
         self._buffer = bytearray()
         self.stripes_flushed += 1
@@ -203,11 +203,10 @@ class ZebraClient:
             needed[(stripe, position // self.fragment_bytes)] = None
 
         fetched: dict[tuple[int, int], bytes] = {}
-        procs = {key: self.sim.process(self._fetch_fragment(*key))
-                 for key in needed}
-        if procs:
-            values = yield self.sim.all_of(list(procs.values()))
-            fetched = dict(zip(procs.keys(), values))
+        if needed:
+            values = yield self.sim.fork(
+                [self._fetch_fragment(*key) for key in needed])
+            fetched = dict(zip(needed, values))
 
         out = bytearray((last - first + 1) * BLOCK)
         for bidx in range(first, last + 1):
@@ -234,20 +233,19 @@ class ZebraClient:
             data = yield from server.fetch(key)
             return data
         # Rebuild from the stripe's survivors plus parity.
-        procs = []
+        fetches = []
         for other in range(self._nstripe_data):
             if other == position:
                 continue
             node = self.servers[self.data_server(stripe, other)]
             if node.failed:
                 raise RaidError("two Zebra storage servers are down")
-            procs.append(self.sim.process(node.fetch(
-                (self.client_id, stripe, other))))
+            fetches.append(node.fetch((self.client_id, stripe, other)))
         parity_node = self.servers[self.parity_server(stripe)]
         if parity_node.failed:
             raise RaidError("two Zebra storage servers are down")
-        procs.append(self.sim.process(parity_node.fetch(
-            (self.client_id, stripe, self._nstripe_data))))
-        blocks = yield self.sim.all_of(procs)
+        fetches.append(parity_node.fetch(
+            (self.client_id, stripe, self._nstripe_data)))
+        blocks = yield self.sim.fork(fetches)
         self.fragments_rebuilt += 1
         return xor_blocks(blocks)

@@ -67,11 +67,8 @@ class ZebraStorageServer:
             raise HardwareError(f"{self.name}: fragment store full")
         offset = self._append_offset
         self._append_offset += len(data)
-        legs = [
-            self.sim.process(self.node.board.receive_hippi(len(data))),
-            self.sim.process(self.node.raid.write(offset, data)),
-        ]
-        yield self.sim.all_of(legs)
+        yield self.sim.fork([self.node.board.receive_hippi(len(data)),
+                             self.node.raid.write(offset, data)])
         self._index[key] = (offset, len(data))
         self.fragments_stored += 1
         return None
@@ -84,9 +81,8 @@ class ZebraStorageServer:
         if extent is None:
             raise ProtocolError(f"{self.name}: no fragment {key}")
         offset, length = extent
-        read_proc = self.sim.process(self.node.raid.read(offset, length))
-        send_proc = self.sim.process(self.node.board.send_hippi(length))
-        values = yield self.sim.all_of([read_proc, send_proc])
+        values = yield self.sim.fork([self.node.raid.read(offset, length),
+                                      self.node.board.send_hippi(length)])
         self.fragments_served += 1
         return values[0]
 

@@ -81,6 +81,30 @@ def test_cleaned_data_survives_crash():
     assert sim.run_process(fs2.read("/keep", 0, len(keep))) == keep
 
 
+def _recount_clean(fs):
+    return sum(1 for entry in fs.usage if entry.state == SegmentState.CLEAN)
+
+
+def test_free_segments_matches_a_recount_after_clean_and_crash_mount():
+    sim, device, fs = make_fs()
+    sim.run_process(fs.create("/keep"))
+    sim.run_process(fs.write("/keep", 0, pattern(60 * KIB, seed=7)))
+    sim.run_process(fs.create("/junk"))
+    sim.run_process(fs.write("/junk", 0, pattern(200 * KIB, seed=8)))
+    sim.run_process(fs.sync())
+    assert fs.free_segments() == _recount_clean(fs)
+    before = fs.free_segments()
+    sim.run_process(fs.unlink("/junk"))
+    assert sim.run_process(fs.clean(max_segments=8))
+    assert fs.free_segments() == _recount_clean(fs) > before
+    fs.crash()
+
+    fs2 = LogStructuredFS(sim, device, spec=FAST_SPEC, max_inodes=128)
+    sim.run_process(fs2.mount())
+    assert fs2.free_segments() == _recount_clean(fs2)
+    assert fs2.statfs()["clean_segments"] == fs2.free_segments()
+
+
 def test_cleaning_enables_further_writes():
     """Fill the log, delete, clean, and keep writing (space recycles)."""
     sim, _device, fs = make_fs(capacity=3 * MIB // 2)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.errors import UnrecoverableArrayError
+from repro.errors import RaidError, UnrecoverableArrayError
 from repro.hw import IBM_0661, DiskDrive
 from repro.raid import (DirectDiskPath, Raid0Controller, Raid1Controller,
                         Raid3Controller, Raid5Controller)
@@ -161,6 +161,23 @@ def test_raid1_rebuild_restores_copy(sim):
 # ---------------------------------------------------------------------------
 # RAID 5: correctness
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ndisks", [3, 24])
+def test_raid5_unit_index_in_row_matches_a_scan(ndisks):
+    sim = Simulator()
+    ctrl = Raid5Controller(sim, make_array(sim, ndisks), UNIT)
+    layout = ctrl.layout
+    for row in range(ndisks):  # every row mod N
+        for disk in range(ndisks):
+            scanned = [k for k in range(ndisks - 1)
+                       if layout.data_disk(row, k) == disk]
+            if disk == layout.parity_disk(row):
+                assert scanned == []
+                with pytest.raises(RaidError):
+                    ctrl._unit_index_in_row(row, disk)
+            else:
+                assert [ctrl._unit_index_in_row(row, disk)] == scanned
+
 
 def test_raid5_roundtrip_unaligned(sim):
     ctrl = Raid5Controller(sim, make_array(sim, 5), UNIT)

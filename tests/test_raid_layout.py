@@ -103,12 +103,17 @@ def test_raid5_parity_rotates_left_symmetric():
 
 
 def test_raid5_data_never_on_parity_disk():
-    layout = Raid5Layout(5, UNIT, DISK)
-    for row in range(10):
-        parity = layout.parity_disk(row)
-        data_disks = [layout.data_disk(row, k) for k in range(4)]
-        assert parity not in data_disks
-        assert sorted(data_disks + [parity]) == [0, 1, 2, 3, 4]
+    for ndisks in (3, 5, 24):
+        layout = Raid5Layout(ndisks, UNIT, DISK)
+        for row in range(2 * ndisks):
+            parity = layout.parity_disk(row)
+            data_disks = [layout.data_disk(row, k)
+                          for k in range(ndisks - 1)]
+            # Left-symmetric: data follows the parity disk round-robin.
+            assert data_disks == [(parity + 1 + k) % ndisks
+                                  for k in range(ndisks - 1)]
+            assert parity not in data_disks
+            assert sorted(data_disks + [parity]) == list(range(ndisks))
 
 
 def test_raid5_left_symmetric_sequential_spreads_over_all_disks():

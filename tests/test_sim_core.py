@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
 
 from repro.errors import SimulationError
@@ -491,3 +493,158 @@ def test_run_process_returning_at_start_leaves_same_instant_entries():
     assert fired == []
     sim.run()
     assert fired == [0.0]
+
+
+# -- fork: one call for a stage's legs and their join ---------------------
+
+def _pushes(scenario, join_of):
+    """Run ``scenario(sim, join_of)`` on a fresh Simulator with every
+    heap push recorded as ``(when, kind, type, name)``."""
+    sim = Simulator()
+    trace = []
+    original = heapq.heappush
+
+    def hook(heap, entry):
+        when, _seq, kind, obj = entry
+        trace.append((when, kind, type(obj).__name__,
+                      getattr(obj, "name", None)))
+        return original(heap, entry)
+
+    heapq.heappush = hook
+    try:
+        result = scenario(sim, join_of)
+        sim.run()
+    finally:
+        heapq.heappush = original
+    return result, trace
+
+
+def _fork(sim, generators, names=None):
+    return sim.fork(generators, names)
+
+
+def _spawn_then_join(sim, generators, names=None):
+    names = names if names is not None else [""] * len(generators)
+    return sim.all_of([sim.process(generator, name)
+                       for generator, name in zip(generators, names)])
+
+
+def _leg(sim, delay, value):
+    yield sim.timeout(delay)
+    return value
+
+
+def _instant():
+    return "now"
+    yield  # pragma: no cover - makes this a generator
+
+
+def _broken(sim):
+    yield sim.timeout(0.5)
+    raise KeyError("broken")
+
+
+def _mixed_names(sim, join_of):
+    def body():
+        values = yield join_of(sim, [_leg(sim, 2.0, "a"), _leg(sim, 1.0, "b"),
+                                     _instant()], ["first", "", "third"])
+        return values, sim.now
+
+    return sim.run_process(body())
+
+
+def _empty(sim, join_of):
+    def body():
+        yield sim.timeout(1.0)
+        values = yield join_of(sim, [])
+        return values, sim.now
+
+    return sim.run_process(body())
+
+
+def _returns_without_yielding(sim, join_of):
+    def body():
+        values = yield join_of(sim, [_instant(), _instant()])
+        return values, sim.now
+
+    return sim.run_process(body())
+
+
+def _failing_leg(sim, join_of):
+    def body():
+        try:
+            yield join_of(sim, [_leg(sim, 1.0, "a"), _broken(sim)])
+        except KeyError as exc:
+            return f"caught {exc}", sim.now
+
+    return sim.run_process(body())
+
+
+@pytest.mark.parametrize("scenario", [_mixed_names, _empty,
+                                      _returns_without_yielding,
+                                      _failing_leg],
+                         ids=lambda scenario: scenario.__name__.lstrip("_"))
+def test_fork_pushes_what_process_and_all_of_push(scenario):
+    forked = _pushes(scenario, _fork)
+    assert forked == _pushes(scenario, _spawn_then_join)
+    assert forked[1]  # the scenario scheduled something
+
+
+def test_fork_results_and_names():
+    assert _pushes(_mixed_names, _fork)[0] == (["a", "b", "now"], 2.0)
+    assert _pushes(_empty, _fork)[0] == ([], 1.0)
+    assert _pushes(_failing_leg, _fork)[0] == ("caught 'broken'", 0.5)
+    names = [name for _when, kind, _type, name in _pushes(_mixed_names,
+                                                          _fork)[1]
+             if kind == 1]
+    assert names == ["body", "first", "_leg", "third"]
+
+
+def test_fork_rejects_a_bad_leg_before_pushing_anything():
+    sim = Simulator()
+    pushed = []
+    original = heapq.heappush
+
+    def hook(heap, entry):
+        pushed.append(entry)
+        return original(heap, entry)
+
+    heapq.heappush = hook
+    try:
+        with pytest.raises(SimulationError, match="generator"):
+            sim.fork([_leg(sim, 1.0, "a"), 42])
+        with pytest.raises(SimulationError, match="names"):
+            sim.fork([_instant()], ["one", "two"])
+    finally:
+        heapq.heappush = original
+    assert pushed == [] and sim._heap == []
+    assert sim.run() == 0.0
+
+
+def test_fork_leg_with_later_listeners_resumes_them_in_registration_order():
+    # The join holds each leg's first-listener slot from birth, so a
+    # process and a second join registered later queue in callbacks
+    # (the second join through AllOf._check).  Each listener pushes one
+    # same-instant entry when it resumes, so the order those entries
+    # fire in is the order the listeners ran in.
+    sim = Simulator()
+    order = []
+
+    def waiter(tag, event):
+        value = yield event
+        order.append((tag, value, sim.now))
+
+    def joiner(leg):
+        value = yield leg
+        yield sim.timeout(0.0)
+        order.append(("joiner", value, sim.now))
+
+    join = sim.fork([_leg(sim, 1.0, "leg")])
+    leg = join._events[0]
+    sim.process(waiter("fork", join))
+    sim.process(joiner(leg))
+    sim.run(until=0.0)  # the joiner registers on the leg
+    sim.process(waiter("all_of", sim.all_of([leg])))
+    sim.run()
+    assert order == [("fork", ["leg"], 1.0), ("joiner", "leg", 1.0),
+                     ("all_of", ["leg"], 1.0)]
