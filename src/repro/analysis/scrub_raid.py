@@ -29,9 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import DiskFailedError, RaidError
 from repro.hw.parity import xor_blocks
 from repro.raid.layout import Raid1Layout, Raid3Layout, Raid5Layout
+from repro.units import KIB
 
 
 @dataclass
@@ -57,6 +60,10 @@ class ScrubReport:
         for row in self.mismatched_rows:
             lines.append(f"SCRUB-PARITY: row {row} redundancy mismatch")
         return "\n".join(lines)
+
+
+#: Bytes per disk one peek of the instant parity scrub covers.
+_SCRUB_CHUNK_BYTES = 256 * KIB
 
 
 def _rows_to_scan(layout, max_rows: Optional[int]) -> int:
@@ -92,23 +99,42 @@ def _scrub_parity(controller, layout, max_rows: Optional[int],
                   repair: bool) -> ScrubReport:
     report = ScrubReport()
     nsectors = layout.unit_sectors
-    for row in range(_rows_to_scan(layout, max_rows)):
-        data_disks, parity_disk = _row_members(layout, row)
-        lba = layout.row_lba(row)
-        involved = data_disks + [parity_disk]
-        if any(controller.unavailable(d, row) for d in involved):
-            report.degraded_rows.append(row)
-            continue
-        report.rows_checked += 1
-        data_blocks = [controller.paths[d].disk.peek(lba, nsectors)
-                       for d in data_disks]
-        parity = controller.paths[parity_disk].disk.peek(lba, nsectors)
-        expected = xor_blocks(data_blocks)
-        if parity != expected:
-            report.mismatched_rows.append(row)
-            if repair:
-                controller.paths[parity_disk].disk.poke(lba, expected)
-                report.repaired_rows.append(row)
+    unit = layout.stripe_unit_bytes
+    disks = [path.disk for path in controller.paths]
+    nrows = _rows_to_scan(layout, max_rows)
+    chunk = max(1, _SCRUB_CHUNK_BYTES // unit)
+    for first in range(0, nrows, chunk):
+        count = min(chunk, nrows - first)
+        lba = layout.row_lba(first)
+        # Every disk holds one unit of every row, data or parity, so
+        # the XOR of all of a row's units is zero exactly when its
+        # parity matches its data.
+        acc = np.frombuffer(disks[0].peek(lba, count * nsectors),
+                            dtype=np.uint8).copy()
+        for disk in disks[1:]:
+            acc ^= np.frombuffer(disk.peek(lba, count * nsectors),
+                                 dtype=np.uint8)
+        dirty = acc.reshape(count, unit).any(axis=1)
+        # A disk is unavailable from some row on (its rebuild frontier,
+        # or row 0), so rows need checking one by one only when some
+        # disk cannot serve the run's last row.
+        suspect = any(controller.unavailable(d, first + count - 1)
+                      for d in range(len(disks)))
+        for row in range(first, first + count):
+            if suspect and any(controller.unavailable(d, row)
+                               for d in range(len(disks))):
+                report.degraded_rows.append(row)
+                continue
+            report.rows_checked += 1
+            if dirty[row - first]:
+                report.mismatched_rows.append(row)
+                if repair:
+                    data_disks, parity_disk = _row_members(layout, row)
+                    row_lba = layout.row_lba(row)
+                    disks[parity_disk].poke(row_lba, xor_blocks(
+                        [disks[d].peek(row_lba, nsectors)
+                         for d in data_disks]))
+                    report.repaired_rows.append(row)
     return report
 
 

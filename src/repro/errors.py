@@ -56,10 +56,12 @@ class MediumError(HardwareError):
 class CrashPoint(ReproError):
     """A scheduled simulated host crash fired.
 
-    Raised out of the in-flight device write by the fault-injection
-    machinery (see :mod:`repro.faults.crash`).  Carries a snapshot of
-    the durable media taken at the instant of the crash, so a test can
-    rebuild a fresh device stack from it, remount, and roll forward.
+    Raised out of the disk write whose landing fired the crash (see
+    :meth:`repro.faults.FaultInjector.on_landing`), and out of every
+    later operation on an attached store.  The first carries a snapshot
+    of the durable media taken at the instant of the crash (see
+    :mod:`repro.faults.crash`), so a test can rebuild a fresh device
+    stack from it, remount, and roll forward.
     """
 
     def __init__(self, message: str, snapshot=None, at_s: float = 0.0):
@@ -114,10 +116,6 @@ class ConsistencyError(ReproError):
     Raised by the :mod:`repro.testing` hooks; the message carries the
     full rendered report so a failing test shows every finding.
     """
-
-
-class NetworkError(ReproError):
-    """Network-layer error."""
 
 
 class ProtocolError(ReproError):

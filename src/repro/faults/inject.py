@@ -10,9 +10,13 @@ injector is attached, the hooks in :class:`~repro.hw.disk.DiskDrive`,
   :class:`~repro.errors.TransientDiskError` for due transient faults;
 * :meth:`FaultInjector.stall_delay` returns how long a link transfer
   starting *now* must wait out a stall window (0.0 when none);
-* :meth:`FaultInjector.on_device_write` drives the
-  :class:`~repro.faults.plan.HostCrash` countdown for a
-  :class:`~repro.faults.crash.CrashableDevice`.
+* :meth:`FaultInjector.on_landing` drives the
+  :class:`~repro.faults.plan.HostCrash` countdown as each disk write
+  lands, in landing order.  It is the one crash hook: stores consult
+  it only while :attr:`FaultInjector.crash_armed` is set.
+
+A :class:`~repro.testing.MemoryDevice` carries the same ``faults``
+attribute and calls the same hooks, so it is attached like a disk.
 
 The injector never schedules simulation events itself — consult-and-
 return keeps an armed plan deterministic and an empty plan invisible.
@@ -22,9 +26,11 @@ under the ``faults`` component.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
-from repro.errors import TransientDiskError
+from repro.errors import CrashPoint, TransientDiskError
+from repro.faults.crash import snapshot_media
 from repro.faults.plan import (DiskDeath, FaultPlan, HostCrash,
                                LatentSectorError, LinkStall, TransientFault)
 from repro.sim import Simulator
@@ -39,16 +45,6 @@ class _TransientState:
     def __init__(self, event: TransientFault):
         self.event = event
         self.remaining = event.count
-
-
-class _CrashState:
-    """Mutable write countdown for the plan's :class:`HostCrash`."""
-
-    __slots__ = ("event", "seen")
-
-    def __init__(self, event: HostCrash):
-        self.event = event
-        self.seen = 0
 
 
 class FaultInjector:
@@ -74,12 +70,16 @@ class FaultInjector:
         for event in self.plan.select(LinkStall):
             self._stalls.setdefault(event.link, []).append(event)
         crashes = self.plan.select(HostCrash)
-        self._crash: Optional[_CrashState] = (
-            _CrashState(crashes[0]) if crashes else None)
+        self._crash: Optional[HostCrash] = crashes[0] if crashes else None
+        #: Whether stores must report each landing write to
+        #: :meth:`on_landing`: only a plan with a HostCrash needs it.
+        self.crash_armed = self._crash is not None
         self.crashed = False
-        #: Every device-level write seen (the crash-sweep tests count a
-        #: clean run with an empty plan to enumerate crash points).
-        self.device_writes = 0
+        self._landed = 0
+        #: Attached stores, snapshotted when the host crashes.  Weak:
+        #: each store points back here, and a strong cycle would keep a
+        #: dropped stack's media alive until the cyclic collector runs.
+        self._stores: weakref.WeakSet = weakref.WeakSet()
 
         metrics = sim.metrics
         self.m_disk_deaths = metrics.counter(component, "disk_deaths")
@@ -96,9 +96,14 @@ class FaultInjector:
     # attachment
     # ------------------------------------------------------------------
     def attach(self, *, disks=(), links=()) -> "FaultInjector":
-        """Point components' ``faults`` hooks at this injector."""
+        """Point components' ``faults`` hooks at this injector.
+
+        ``disks`` are the stores (:class:`~repro.hw.DiskDrive` or
+        :class:`~repro.testing.MemoryDevice`) a host crash snapshots.
+        """
         for disk in disks:
             disk.faults = self
+            self._stores.add(disk)
         for link in links:
             link.faults = self
         return self
@@ -106,12 +111,13 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # hooks (called from the hardware layer)
     # ------------------------------------------------------------------
-    def on_disk_op(self, disk, kind: str, lba: int, nsectors: int) -> None:
+    def on_disk_op(self, disk, kind: str) -> None:
         """Apply due events for one disk operation; may raise.
 
         Called by :class:`~repro.hw.disk.DiskDrive` at the start of
         every timed ``read``/``write`` (after the command slot is
         acquired, so injected failures observe real service order).
+        After a host crash it is shadowed by :meth:`_host_down`.
         """
         now = self.sim.now
         name = disk.name
@@ -150,26 +156,45 @@ class FaultInjector:
             self.m_stall_seconds.inc(delay)
         return delay
 
-    def on_device_write(self, nbytes: int) -> Optional[int]:
-        """Advance the host-crash countdown for one device write.
+    def on_landing(self, store, address: int, data) -> None:
+        """Count one write as it lands on ``store``; may crash the host.
 
-        Returns ``None`` to let the write through, or the number of
-        torn bytes (possibly 0) to land before the crash fires.
+        Called by a store while :attr:`crash_armed` is set, just before
+        ``data`` becomes durable at ``address`` (an LBA of a
+        :class:`~repro.hw.DiskDrive`, a byte offset of a
+        :class:`~repro.testing.MemoryDevice`).  On the plan's
+        ``nth_write``-th landing at or after its ``at_s``, the write's
+        sector-rounded ``torn_fraction`` prefix lands through the
+        store's ``poke``, every attached store is snapshotted, and
+        :class:`~repro.errors.CrashPoint` is raised.  From then on every
+        landing and every new operation raises ``CrashPoint``.
         """
-        self.device_writes += 1
-        state = self._crash
-        if state is None or self.crashed:
-            return None
-        if self.sim.now < state.event.at_s:
-            return None
-        state.seen += 1
-        if state.seen < state.event.nth_write:
-            return None
+        if self.crashed:
+            self._host_down(store)
+        event = self._crash
+        if self.sim.now < event.at_s:
+            return
+        self._landed += 1
+        if self._landed < event.nth_write:
+            return
         self.crashed = True
+        # Shadow the per-operation hook, so an uncrashed host pays
+        # nothing for the host-down check.
+        self.on_disk_op = self._host_down
         self.m_host_crashes.inc()
-        torn = int(nbytes * state.event.torn_fraction)
-        torn -= torn % SECTOR_SIZE
-        return min(max(torn, 0), nbytes)
+        nbytes = len(data)
+        torn = int(nbytes * event.torn_fraction)
+        torn = min(max(torn - torn % SECTOR_SIZE, 0), nbytes)
+        if torn:
+            store.poke(address, data[:torn])
+        raise CrashPoint(
+            f"host crash during disk write #{self._landed} on {store.name} "
+            f"({torn}/{nbytes} bytes landed)",
+            snapshot=snapshot_media(list(self._stores)), at_s=self.sim.now)
+
+    def _host_down(self, store, kind: str = "write") -> None:
+        raise CrashPoint(f"host is down ({kind} on {store.name})",
+                         at_s=self.sim.now)
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ Event catalogue (the plan schema):
                       fail until the extent is rewritten
 :class:`LinkStall`    a named link (SCSI string, VME port, HIPPI port)
                       stalls for ``duration_s`` starting at ``at_s``
-:class:`HostCrash`    the host dies during the ``nth_write``-th device
-                      write at/after ``at_s``; raises
+:class:`HostCrash`    the host dies as the ``nth_write``-th disk write
+                      at/after ``at_s`` lands; raises
                       :class:`~repro.errors.CrashPoint` carrying a media
                       snapshot (see :mod:`repro.faults.crash`)
 ===================  =====================================================
@@ -77,12 +77,15 @@ class LinkStall:
 
 @dataclass(frozen=True)
 class HostCrash:
-    """Crash the host during a device write.
+    """Crash the host during a disk write.
 
-    The crash fires on the ``nth_write``-th device-level write issued
-    at or after ``at_s`` (1-based).  ``torn_fraction`` of that write
-    lands on the media first (rounded down to a sector multiple), so a
-    fraction of 0.0 crashes exactly at the write boundary.
+    The crash fires on the ``nth_write``-th disk write to *land* at or
+    after ``at_s`` (1-based), counted in landing order over every store
+    the injector is attached to — so it can fall between the data and
+    parity writes of one RAID row, which finish at the same instant.
+    ``torn_fraction`` of that write lands on the media first (rounded
+    down to a sector multiple), so a fraction of 0.0 crashes exactly at
+    the write boundary and 1.0 lands the write whole.
     """
 
     nth_write: int = 1
@@ -115,10 +118,6 @@ class FaultPlan:
     def of(cls, *events) -> "FaultPlan":
         """Build a plan from the given events."""
         return cls(events=tuple(events))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
 
     def select(self, event_type) -> list:
         return [e for e in self.events if isinstance(e, event_type)]

@@ -65,7 +65,8 @@ class DiskDrive:
         #: row of it as unavailable until a rebuild starts.
         self.replacement = False
         #: Optional fault-injection hook (see repro.faults.inject);
-        #: consulted at the start of every timed operation.
+        #: consulted at the start of every timed operation, and as each
+        #: write lands while a host crash is armed.
         self.faults = None
         #: LBAs with latent sector errors: reads raise MediumError,
         #: writes heal (drives remap bad sectors on write).
@@ -146,7 +147,7 @@ class DiskDrive:
             try:
                 faults = self.faults
                 if faults is not None:
-                    faults.on_disk_op(self, "read", lba, nsectors)
+                    faults.on_disk_op(self, "read")
                 if self.failed:
                     raise DiskFailedError(self.name)
                 if self._bad_sectors:
@@ -175,12 +176,15 @@ class DiskDrive:
             try:
                 faults = self.faults
                 if faults is not None:
-                    faults.on_disk_op(self, "write", lba, nsectors)
+                    faults.on_disk_op(self, "write")
                 if self.failed:
                     raise DiskFailedError(self.name)
                 yield self.sim.timeout(
                     self._service_time("write", lba, nsectors))
                 self._last = ("write", lba + nsectors)
+                if faults is not None and faults.crash_armed:
+                    # The one crash hook: writes are counted as they land.
+                    faults.on_landing(self, lba, data)
                 self._save(lba, data)
                 self.writes += 1
                 self.bytes_written += len(data)

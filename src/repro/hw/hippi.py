@@ -9,8 +9,6 @@ link" — which is why small transfers perform poorly.
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import HardwareError
 from repro.hw.specs import HIPPI_SPEC, HippiSpec
 from repro.sim import BandwidthChannel, Simulator
@@ -52,9 +50,3 @@ class HippiPort:
             yield self.sim.timeout(setup)
             yield from self.channel.transfer(nbytes)
             self.packets_sent += packets
-
-    def packets_for(self, nbytes: int, max_packet_bytes: int) -> int:
-        """Packet count when a transfer is chopped at ``max_packet_bytes``."""
-        if max_packet_bytes <= 0:
-            raise HardwareError("max_packet_bytes must be positive")
-        return max(1, math.ceil(nbytes / max_packet_bytes))

@@ -10,7 +10,7 @@ result written, at the port rate.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -81,7 +81,3 @@ class ParityEngine:
             yield from self.port.transfer(traffic)
         self.blocks_xored += len(blocks)
         return parity
-
-    def verify(self, data_blocks: Iterable[bytes], parity: bytes) -> bool:
-        """Instant check that ``parity`` matches ``data_blocks``."""
-        return xor_blocks(list(data_blocks)) == parity

@@ -300,13 +300,9 @@ SPARCSTATION_10_51 = WorkstationSpec(
 class LfsSpec:
     """Sprite-LFS-on-RAID-II parameters (Section 3.4)."""
 
-    #: "The LFS log is interleaved or striped across the disks in units
-    #: of 64 kilobytes."
-    stripe_unit_bytes: int = 64 * KIB
     #: "The log is written to the disk array in units or segments of
     #: 960 kilobytes."
     segment_bytes: int = 960 * KIB
-    block_bytes: int = 4 * KIB
     #: "4 milliseconds of file system overhead" per operation plus
     #: "19 milliseconds of disk overhead" for small random reads
     #: (the 19 ms emerges from the disk model; only the FS part is a

@@ -7,10 +7,6 @@ transfer across all banks, we model service time with a single
 aggregate channel at the summed bank rate — which correctly caps total
 board traffic at 160 MB/s — while still accounting per-bank byte
 counts for utilization reports.
-
-The memory also acts as the board's buffer pool (network buffers,
-prefetch buffers, LFS segment buffers); a simple byte-counting
-allocator tracks occupancy and its high-water mark.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ class XbusMemory:
     """Interleaved buffer memory on the XBUS board."""
 
     __slots__ = ("sim", "spec", "name", "channel", "bank_bytes_moved",
-                 "_next_bank", "_allocated", "allocation_high_water")
+                 "_next_bank")
 
     def __init__(self, sim: Simulator, spec: XbusSpec = XBUS_SPEC,
                  name: str = "xmem"):
@@ -36,8 +32,6 @@ class XbusMemory:
             sim, rate_mb_s=aggregate_rate, name=f"{name}.banks")
         self.bank_bytes_moved = [0] * spec.memory_banks
         self._next_bank = 0
-        self._allocated = 0
-        self.allocation_high_water = 0
 
     @property
     def capacity_bytes(self) -> int:
@@ -66,25 +60,3 @@ class XbusMemory:
         self._next_bank = (base + 1) % banks
         with self.sim.tracer.span("xmem.access", self.name, nbytes=nbytes):
             yield from self.channel.transfer(nbytes)
-
-    # ------------------------------------------------------------------
-    # buffer-pool accounting (instantaneous)
-    # ------------------------------------------------------------------
-    @property
-    def allocated_bytes(self) -> int:
-        return self._allocated
-
-    def allocate(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise HardwareError(f"negative allocation: {nbytes}")
-        self._allocated += nbytes
-        self.allocation_high_water = max(self.allocation_high_water,
-                                         self._allocated)
-
-    def free(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise HardwareError(f"negative free: {nbytes}")
-        if nbytes > self._allocated:
-            raise HardwareError(
-                f"freeing {nbytes} bytes but only {self._allocated} allocated")
-        self._allocated -= nbytes

@@ -144,10 +144,6 @@ class Tracer:
     def roots(self) -> list[Span]:
         return [span for span in self.finished if span.parent_id is None]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [child for child in self.finished
-                if child.parent_id == span.id]
-
     # -- per-process context propagation --------------------------------
     def scoped(self, generator) -> Iterator:
         """Wrap a process generator for context propagation.

@@ -710,16 +710,22 @@ class Raid5Controller(_BaseController):
             [self._read_unit(layout.data_disk(row, k), lba, nsectors)
              for k in fetch_units])
 
-        images: list[bytearray] = [bytearray(unit)
-                                   for _ in range(self.layout.data_units_per_row)]
+        # Each unit image is built once: a fetched unit is its old
+        # block (copied only to lay new extents over it), a fully
+        # covered unit is its new payload.
+        images: list = [None] * self.layout.data_units_per_row
         for k, block in zip(fetch_units, old_blocks):
-            images[k][:] = block
-        for k, unit_pieces in by_unit.items():
-            for piece in unit_pieces:
-                payload = self._payload_of(piece, offset, data)
-                images[k][piece.unit_offset:piece.unit_offset
-                          + piece.nbytes] = payload
-        final = images  # disks and parity engine take bytearrays as-is
+            unit_pieces = by_unit.get(k)
+            if unit_pieces:
+                block = bytearray(block)
+                for piece in unit_pieces:
+                    block[piece.unit_offset:piece.unit_offset
+                          + piece.nbytes] = self._payload_of(piece, offset,
+                                                             data)
+            images[k] = block
+        for k in fully_covered:
+            (piece,) = by_unit[k]  # a request maps to one piece per unit
+            images[k] = self._payload_of(piece, offset, data)
 
         # Partially-covered units rewrite their new extents now that
         # their old contents have been captured.
@@ -729,7 +735,7 @@ class Raid5Controller(_BaseController):
             for k, piece in zip(piece_units, pieces)
             if k not in fully_covered]
         yield from self._write_with_parity(data_writes, parity_disk, lba,
-                                           final)
+                                           images)
         return None
 
     def _degraded_row_write(self, row: int, pieces: list[Piece], offset: int,

@@ -18,6 +18,8 @@ class Raid2Config:
     xbus: XbusConfig = field(default_factory=XbusConfig)
     #: Use only the first N disk paths of each board (None = all).
     disks_used: Optional[int] = None
+    #: "The LFS log is interleaved or striped across the disks in units
+    #: of 64 kilobytes" (Section 3.4).
     stripe_unit_bytes: int = 64 * KIB
     lfs: LfsSpec = LFS_SPEC
     max_inodes: int = 1024

@@ -93,12 +93,6 @@ class Raid1Server:
         yield from self.host.copy(len(data))
         return data
 
-    def app_write(self, offset: int, data: bytes):
-        """Process: user-space write through the striping software."""
-        yield from self.host.copy(len(data))
-        yield from self.raid.write(offset, data)
-        return None
-
     def single_disk_read(self, disk_index: int, lba: int, nsectors: int):
         """Process: one raw disk read delivered to an application."""
         path = self.paths[disk_index]

@@ -6,10 +6,10 @@ RAID controller (timed ``read``/``write`` processes plus instant
 ``peek``/``poke`` and ``capacity_bytes``), which lets file-system
 logic be exercised and benchmarked in isolation from the disk array.
 
-Crash injection lives in :mod:`repro.faults`:
-:class:`~repro.faults.CrashableDevice` executes a plan's
-:class:`~repro.faults.HostCrash` over a :class:`MemoryDevice` as
-readily as over a RAID array.
+A :class:`MemoryDevice` carries the same ``faults`` hook as a
+:class:`~repro.hw.DiskDrive`, so a :class:`~repro.faults.FaultInjector`
+attaches to it like a disk (``injector.attach(disks=[device])``) and a
+plan's :class:`~repro.faults.HostCrash` counts its writes as they land.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ class MemoryDevice:
             sim, rate_mb_s=rate_mb_s,
             per_transfer_overhead=per_op_latency_s, name=f"{name}.chan")
         self._store = bytearray(capacity_bytes)
+        #: Optional fault-injection hook, as on a DiskDrive.
+        self.faults = None
         self.reads = 0
         self.writes = 0
 
@@ -44,6 +46,9 @@ class MemoryDevice:
     def read(self, offset: int, nbytes: int):
         """Process: read ``nbytes`` at ``offset``."""
         self._check(offset, nbytes)
+        faults = self.faults
+        if faults is not None:
+            faults.on_disk_op(self, "read")
         yield from self.channel.transfer(nbytes)
         self.reads += 1
         return bytes(self._store[offset:offset + nbytes])
@@ -51,7 +56,12 @@ class MemoryDevice:
     def write(self, offset: int, data: bytes):
         """Process: write ``data`` at ``offset``."""
         self._check(offset, len(data))
+        faults = self.faults
+        if faults is not None:
+            faults.on_disk_op(self, "write")
         yield from self.channel.transfer(len(data))
+        if faults is not None and faults.crash_armed:
+            faults.on_landing(self, offset, data)
         self._store[offset:offset + len(data)] = data
         self.writes += 1
         return None

@@ -12,10 +12,9 @@ import random
 import pytest
 
 from repro.errors import CrashPoint
-from repro.faults import (CrashableDevice, DiskDeath, FaultInjector,
-                          FaultPlan, HostCrash, LatentSectorError, LinkStall,
-                          TransientFault, attach_array, attach_server,
-                          restore_media)
+from repro.faults import (DiskDeath, FaultInjector, FaultPlan, HostCrash,
+                          LatentSectorError, LinkStall, TransientFault,
+                          attach_array, attach_server, restore_media)
 from repro.hw import IBM_0661, DiskDrive
 from repro.raid import DirectDiskPath, Raid5Controller
 from repro.server import Raid2Config, Raid2Server
@@ -153,22 +152,21 @@ def test_link_stall_delays_scsi_transfer():
 # host crash: torn write, snapshot, restore
 # ---------------------------------------------------------------------------
 
-def test_crashable_device_snapshot_restore_roundtrip():
+def test_host_crash_snapshot_restore_roundtrip():
     sim = Simulator()
     raw = MemoryDevice(sim, 1 * MIB)
     inj = FaultInjector(sim, FaultPlan.of(
-        HostCrash(nth_write=3, torn_fraction=0.5)))
-    dev = CrashableDevice(raw, inj)
+        HostCrash(nth_write=3, torn_fraction=0.5))).attach(disks=[raw])
     payloads = [pattern(64 * KIB, seed=i) for i in range(4)]
 
     def workload():
         for index, payload in enumerate(payloads):
-            yield from dev.write(index * 64 * KIB, payload)
+            yield from raw.write(index * 64 * KIB, payload)
 
     with pytest.raises(CrashPoint) as caught:
         sim.run_process(workload())
     assert inj.crashed
-    assert inj.device_writes == 3
+    assert "disk write #3 on memdev" in str(caught.value)
     assert inj.m_host_crashes.value == 1
 
     # Writes 1 and 2 landed whole; write 3 tore at the half-way sector.
@@ -180,15 +178,44 @@ def test_crashable_device_snapshot_restore_roundtrip():
 
     # The host stays down afterwards.
     with pytest.raises(CrashPoint):
-        sim.run_process(dev.read(0, KIB))
+        sim.run_process(raw.read(0, KIB))
 
     # Restoring the snapshot onto a fresh device reproduces the media.
     snapshot = caught.value.snapshot
     assert snapshot is not None
     sim2 = Simulator()
     raw2 = MemoryDevice(sim2, 1 * MIB)
-    restore_media(snapshot, raw2)
+    restore_media(snapshot, [raw2])
     assert raw2.peek(0, 1 * MIB) == raw.peek(0, 1 * MIB)
+
+
+def test_host_crash_cuts_between_writes_landing_at_one_instant():
+    """Two disk writes that finish together are still cut apart: the
+    crash fires as the first lands, and the second never lands."""
+    sim = Simulator()
+    disks = [DiskDrive(sim, SMALL_DISK, name=f"d{i}") for i in range(2)]
+    inj = FaultInjector(sim, FaultPlan.of(HostCrash(nth_write=1,
+                                                    torn_fraction=1.0)))
+    inj.attach(disks=disks)
+    payload = pattern(8 * KIB, seed=3)
+
+    def both():
+        yield sim.fork([disk.write(0, payload) for disk in disks])
+
+    with pytest.raises(CrashPoint) as caught:
+        sim.run_process(both())
+    # Running on lets d1's write reach its landing, which now raises;
+    # new operations raise before they start.
+    with pytest.raises(CrashPoint):
+        sim.run_process(disks[1].read(0, 16))
+    assert disks[0].peek(0, 16) == payload
+    assert disks[1].peek(0, 16) == bytes(8 * KIB)
+
+    fresh = [DiskDrive(Simulator(), SMALL_DISK, name=f"d{i}")
+             for i in range(2)]
+    restore_media(caught.value.snapshot, fresh)
+    assert fresh[0].peek(0, 16) == payload
+    assert fresh[1].peek(0, 16) == bytes(8 * KIB)
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,6 @@ def test_hippi_multiple_packets_charge_setup_each(sim):
                                     rel=0.02)
 
 
-def test_hippi_packets_for():
-    port = HippiPort(Simulator())
-    assert port.packets_for(0, 32 * KB) == 1
-    assert port.packets_for(32 * KB, 32 * KB) == 1
-    assert port.packets_for(33 * KB, 32 * KB) == 2
-
-
 def test_hippi_rejects_bad_args(sim):
     port = HippiPort(sim)
 

@@ -96,17 +96,6 @@ def test_memory_capacity(sim):
     assert memory.capacity_bytes == 32 * MIB
 
 
-def test_memory_allocator_tracks_high_water(sim):
-    memory = XbusMemory(sim)
-    memory.allocate(5 * MB)
-    memory.allocate(3 * MB)
-    memory.free(4 * MB)
-    assert memory.allocated_bytes == 4 * MB
-    assert memory.allocation_high_water == 8 * MB
-    with pytest.raises(HardwareError):
-        memory.free(5 * MB)
-
-
 # ---------------------------------------------------------------------------
 # parity engine
 # ---------------------------------------------------------------------------
@@ -176,7 +165,6 @@ def test_parity_engine_timed_compute(sim):
     assert parity == xor_blocks(blocks)
     # 4 inputs + 1 output = 5 * 64 KB over a 40 MB/s port.
     assert elapsed == pytest.approx(5 * 64 * KIB / (40 * MB), rel=0.01)
-    assert engine.verify(blocks, parity)
 
 
 # ---------------------------------------------------------------------------

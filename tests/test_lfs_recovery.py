@@ -6,8 +6,7 @@ import random
 import pytest
 
 from repro.errors import CorruptFileSystemError, CrashPoint
-from repro.faults import (CrashableDevice, FaultInjector, FaultPlan,
-                          HostCrash, restore_media)
+from repro.faults import FaultInjector, FaultPlan, HostCrash, restore_media
 from repro.hw.specs import LFS_SPEC
 from repro.lfs import LogStructuredFS
 from repro.lfs.ondisk import BLOCK_SIZE
@@ -148,7 +147,7 @@ def test_recovery_is_fast_relative_to_volume():
 
 def crash_during_workload(nth_write, torn_fraction):
     """Run a deterministic workload whose host crashes during its
-    ``nth_write``-th device write after the first checkpoint, with
+    ``nth_write``-th disk write after the first checkpoint, with
     ``torn_fraction`` of that write landed (rounded down to whole
     sectors); return (sim, device holding the crash-time media,
     checkpointed payload) on a fresh machine."""
@@ -162,11 +161,11 @@ def crash_during_workload(nth_write, torn_fraction):
     sim.run_process(fs.checkpoint())
     fs.crash()
 
-    # Phase 2: remount through a crashable device and write more.
+    # Phase 2: arm the crash on the device, remount and write more.
     plan = FaultPlan((HostCrash(nth_write=nth_write,
                                 torn_fraction=torn_fraction),))
-    crashing = CrashableDevice(raw, FaultInjector(sim, plan))
-    fs2 = LogStructuredFS(sim, crashing, spec=FAST_SPEC, max_inodes=256)
+    FaultInjector(sim, plan).attach(disks=[raw])
+    fs2 = LogStructuredFS(sim, raw, spec=FAST_SPEC, max_inodes=256)
     sim.run_process(fs2.mount())
 
     def work():
@@ -182,7 +181,7 @@ def crash_during_workload(nth_write, torn_fraction):
         sim.run_process(work())
     sim = Simulator()
     device = MemoryDevice(sim, 8 * MIB)
-    restore_media(crash.value.snapshot, device)
+    restore_media(crash.value.snapshot, [device])
     return sim, device, payload_a
 
 

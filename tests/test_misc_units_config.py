@@ -59,7 +59,6 @@ def test_raid2_config_presets():
 
 def test_lfs_spec_matches_paper_numbers():
     config = Raid2Config.paper_default()
-    assert config.lfs.stripe_unit_bytes == 64 * KIB
     assert config.lfs.segment_bytes == 960 * KIB
     assert config.stripe_unit_bytes == 64 * KIB
 
