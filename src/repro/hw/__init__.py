@@ -1,7 +1,7 @@
 """Hardware component models of the RAID-II prototype.
 
 Every component the paper measures is modelled here: disk drives
-(mechanics plus a sparse byte store), SCSI strings, Interphase Cougar
+(mechanics plus a flat byte store), SCSI strings, Interphase Cougar
 controllers, VME links, the XBUS crossbar with interleaved memory
 banks, the parity engine, HIPPI source/destination ports and Ethernet.
 

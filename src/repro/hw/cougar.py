@@ -12,7 +12,10 @@ own count while their legs run.
 The controller owns the full disk-to-VME path: a read is
 ``disk mechanics -> (media transfer || string transfer || controller
 transfer)``, the parallel stage modelling cut-through through the
-drive's buffer and the controller's FIFOs.
+drive's buffer and the controller's FIFOs.  The string and controller
+legs are the bus channels' own transfers, one generator frame each;
+only a string with a fault hook goes through
+:meth:`ScsiString.transfer` to wait out a stall first.
 
 Each disk's route — its string, the string's index and the names of the
 three leg processes — is computed on the disk's first operation and
@@ -52,6 +55,7 @@ class CougarController:
             sim, rate_mb_s=spec.rate_mb_s,
             per_transfer_overhead=spec.per_transfer_overhead_s,
             name=f"{name}.bus")
+        self.channel.span = "cougar.bus"
         self.strings = [
             ScsiString(sim, string_spec, name=f"{name}.s{index}")
             for index in range(spec.strings)
@@ -84,11 +88,6 @@ class CougarController:
         self._routes[disk] = route
         return route
 
-    def _controller_transfer(self, nbytes: int):
-        """Process: the controller-internal data leg."""
-        with self.sim.tracer.span("cougar.bus", self.name, nbytes=nbytes):
-            yield from self.channel.transfer(nbytes)
-
     # ------------------------------------------------------------------
     def read(self, disk: DiskDrive, lba: int, nsectors: int):
         """Process: read from ``disk`` up through the controller.
@@ -103,24 +102,25 @@ class CougarController:
             self._routes.get(disk) or self._route(disk))
         sim = self.sim
         nbytes = nsectors * SECTOR_SIZE
-        with sim.tracer.span("cougar.read", self.name, nbytes=nbytes):
-            inflight = self._inflight
-            if sum(inflight) > inflight[index]:
-                # "Contention on the controller that results in lower
-                # performance when both strings are used" (Section 2.3):
-                # a serial command-handling delay, charged before the
-                # data legs so it extends the critical path.
-                self._m_contention_events.inc()
-                yield sim.timeout(self.spec.dual_string_penalty_s)
-            inflight[index] += 1
-            try:
-                values = yield sim.fork(
-                    [disk.read(lba, nsectors), string.transfer(nbytes),
-                     self._controller_transfer(nbytes)],
-                    (read_name, xfer_name, self._xfer_name))
-            finally:
-                inflight[index] -= 1
-            return values[0]
+        inflight = self._inflight
+        if sum(inflight) > inflight[index]:
+            # "Contention on the controller that results in lower
+            # performance when both strings are used" (Section 2.3):
+            # a serial command-handling delay, charged before the
+            # data legs so it extends the critical path.
+            self._m_contention_events.inc()
+            yield sim.timeout(self.spec.dual_string_penalty_s)
+        inflight[index] += 1
+        try:
+            values = yield sim.fork(
+                [disk.read(lba, nsectors),
+                 string.channel.transfer(nbytes) if string.faults is None
+                 else string.transfer(nbytes),
+                 self.channel.transfer(nbytes)],
+                (read_name, xfer_name, self._xfer_name))
+        finally:
+            inflight[index] -= 1
+        return values[0]
 
     def write(self, disk: DiskDrive, lba: int, data: bytes):
         """Process: write ``data`` to ``disk`` down through the controller."""
@@ -128,18 +128,22 @@ class CougarController:
             self._routes.get(disk) or self._route(disk))
         sim = self.sim
         nbytes = len(data)
-        with sim.tracer.span("cougar.write", self.name, nbytes=nbytes):
-            inflight = self._inflight
-            if sum(inflight) > inflight[index]:
-                self._m_contention_events.inc()
-                yield sim.timeout(self.spec.dual_string_penalty_s)
-            inflight[index] += 1
-            try:
-                yield sim.fork(
-                    [disk.write(lba, data),
-                     string.transfer(nbytes, write=True),
-                     self._controller_transfer(nbytes)],
-                    (write_name, xfer_name, self._xfer_name))
-            finally:
-                inflight[index] -= 1
-            return None
+        # The string's (lower) write rate, as a byte count charged at
+        # its read rate (see ScsiString.transfer).
+        spec = string.spec
+        charged = int(nbytes * spec.rate_mb_s / spec.write_rate_mb_s)
+        inflight = self._inflight
+        if sum(inflight) > inflight[index]:
+            self._m_contention_events.inc()
+            yield sim.timeout(self.spec.dual_string_penalty_s)
+        inflight[index] += 1
+        try:
+            yield sim.fork(
+                [disk.write(lba, data),
+                 string.channel.transfer(charged) if string.faults is None
+                 else string.transfer(charged),
+                 self.channel.transfer(nbytes)],
+                (write_name, xfer_name, self._xfer_name))
+        finally:
+            inflight[index] -= 1
+        return None

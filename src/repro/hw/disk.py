@@ -1,10 +1,16 @@
-"""Disk drive model: mechanics plus a sparse block store.
+"""Disk drive model: mechanics plus a flat byte store.
 
 A :class:`DiskDrive` is both a *timing* model (seek curve, rotational
 latency, media transfer rate, track-buffer read-ahead) and a *storage*
-model — it really stores the bytes written to it, sparsely in 4 KiB
-blocks, so the RAID and file-system layers above can be verified
-byte-for-byte.
+model — it really stores the bytes written to it, so the RAID and
+file-system layers above can be verified byte-for-byte.  The store is
+one anonymous private ``mmap`` of the drive's capacity: the kernel
+hands out its zero-filled pages lazily, so a drive costs memory only
+for the pages written, a write is one slice assignment and a read one
+slice copy.  A bitmap of written 4 KiB blocks lets :meth:`snapshot`
+copy the written extents alone, and lets a collected drive's store be
+zeroed and handed to the next drive of the same capacity, whose writes
+then land on pages already mapped.
 
 Timing structure per operation (all under the drive's single command
 slot, since a drive services one command at a time):
@@ -23,7 +29,10 @@ slot, since a drive services one command at a time):
 
 from __future__ import annotations
 
+import functools
 import math
+import mmap
+import weakref
 from typing import Optional
 
 from repro.errors import DiskFailedError, HardwareError, MediumError
@@ -31,11 +40,53 @@ from repro.hw.specs import DiskSpec
 from repro.sim import BusyMonitor, Resource, Simulator
 from repro.units import KIB, MB, SECTOR_SIZE
 
-#: Bytes per store entry: the file systems' block size, so a block
-#: write is one dict entry and one copy.
+#: Granularity of the written-block bitmap :meth:`DiskDrive.snapshot`
+#: copies by: the file systems' block size and the host page size.
 STORE_BLOCK_BYTES = 4 * KIB
-_BLOCK_SECTORS = STORE_BLOCK_BYTES // SECTOR_SIZE
-_ZERO_BLOCK = bytes(STORE_BLOCK_BYTES)
+#: Zeros to clear written runs with, one 1 MiB chunk at a time.
+_ZEROS = memoryview(bytes(256 * STORE_BLOCK_BYTES))
+
+#: Stores of collected drives by capacity, zeroed for the next drive:
+#: their pages stay mapped, so a new drive writes without faulting
+#: them in again.  At most ``_SPARE_LIMIT`` per capacity, enough for
+#: a fully populated XBUS board (30 drives), so a process that once
+#: held many drives does not keep them all mapped.
+_SPARE_STORES: dict[int, list[mmap.mmap]] = {}
+_SPARE_LIMIT = 32
+#: Weak references to the live drives; collecting one spares its store.
+_LIVE_DRIVES: set[weakref.ref] = set()
+
+
+def _written_runs(written: bytearray) -> list[tuple[int, int]]:
+    """``[first, last)`` block range of each run of written blocks."""
+    runs = []
+    first = written.find(1)
+    while first >= 0:
+        last = written.find(0, first)
+        if last < 0:
+            last = len(written)
+        runs.append((first, last))
+        first = written.find(1, last)
+    return runs
+
+
+def _zero_written(store: mmap.mmap, written: bytearray) -> None:
+    """Zero every written block of ``store`` and clear ``written``."""
+    for first, last in _written_runs(written):
+        end = min(last * STORE_BLOCK_BYTES, len(store))
+        for start in range(first * STORE_BLOCK_BYTES, end, len(_ZEROS)):
+            stop = min(end, start + len(_ZEROS))
+            store[start:stop] = _ZEROS[:stop - start]
+        written[first:last] = bytes(last - first)
+
+
+def _spare_store(store: mmap.mmap, written: bytearray,
+                 drive: weakref.ref) -> None:
+    _LIVE_DRIVES.discard(drive)
+    spare = _SPARE_STORES.setdefault(len(store), [])
+    if len(spare) < _SPARE_LIMIT:
+        _zero_written(store, written)
+        spare.append(store)
 
 
 class DiskDrive:
@@ -52,9 +103,16 @@ class DiskDrive:
         self._media_bytes_per_s = spec.media_rate_mb_s * MB
         self._avg_rotation_s = spec.avg_rotational_latency_s
         self._slot = Resource(sim, capacity=1, name=f"{name}.slot")
-        #: Sparse byte store: block index -> STORE_BLOCK_BYTES of data;
-        #: blocks never written read as zeros.
-        self._store: dict[int, bytes] = {}
+        capacity = spec.capacity_bytes
+        spare = _SPARE_STORES.get(capacity)
+        #: The bytes of every sector: an all-zero anonymous mapping
+        #: whose pages the kernel fills in as they are first written.
+        self._store = spare.pop() if spare else mmap.mmap(
+            -1, capacity, flags=mmap.MAP_PRIVATE)
+        #: One byte per STORE_BLOCK_BYTES block: 1 once written.
+        self._written = bytearray(-(-capacity // STORE_BLOCK_BYTES))
+        _LIVE_DRIVES.add(weakref.ref(self, functools.partial(
+            _spare_store, self._store, self._written)))
         self._head_cylinder = 0
         #: (kind, next_lba) of the most recent operation, for
         #: sequential-access detection.
@@ -113,7 +171,7 @@ class DiskDrive:
         self.failed = False
         self.replacement = True
         if wipe:
-            self._store.clear()
+            _zero_written(self._store, self._written)
             self._bad_sectors.clear()
         self._last = None
         self._head_cylinder = 0
@@ -140,27 +198,25 @@ class DiskDrive:
     def read(self, lba: int, nsectors: int):
         """Process: read ``nsectors`` starting at ``lba``; returns bytes."""
         self._check_extent(lba, nsectors)
-        with self.sim.tracer.span("disk.read", self.name,
-                                  nbytes=nsectors * SECTOR_SIZE, lba=lba):
-            yield self._slot.acquire()
-            self.busy.enter()
-            try:
-                faults = self.faults
-                if faults is not None:
-                    faults.on_disk_op(self, "read")
-                if self.failed:
-                    raise DiskFailedError(self.name)
-                if self._bad_sectors:
-                    self._check_medium(lba, nsectors)
-                yield self.sim.timeout(
-                    self._service_time("read", lba, nsectors))
-                self._last = ("read", lba + nsectors)
-                self.reads += 1
-                self.bytes_read += nsectors * SECTOR_SIZE
-                return self._load(lba, nsectors)
-            finally:
-                self.busy.exit()
-                self._slot.release()
+        yield self._slot.acquire()
+        self.busy.enter()
+        try:
+            faults = self.faults
+            if faults is not None:
+                faults.on_disk_op(self, "read")
+            if self.failed:
+                raise DiskFailedError(self.name)
+            if self._bad_sectors:
+                self._check_medium(lba, nsectors)
+            yield self.sim.timeout(
+                self._service_time("read", lba, nsectors))
+            self._last = ("read", lba + nsectors)
+            self.reads += 1
+            self.bytes_read += nsectors * SECTOR_SIZE
+            return self._load(lba, nsectors)
+        finally:
+            self.busy.exit()
+            self._slot.release()
 
     def write(self, lba: int, data: bytes):
         """Process: write ``data`` (multiple of the sector size) at ``lba``."""
@@ -169,29 +225,27 @@ class DiskDrive:
                 f"write size {len(data)} is not sector-aligned")
         nsectors = len(data) // SECTOR_SIZE
         self._check_extent(lba, nsectors)
-        with self.sim.tracer.span("disk.write", self.name,
-                                  nbytes=len(data), lba=lba):
-            yield self._slot.acquire()
-            self.busy.enter()
-            try:
-                faults = self.faults
-                if faults is not None:
-                    faults.on_disk_op(self, "write")
-                if self.failed:
-                    raise DiskFailedError(self.name)
-                yield self.sim.timeout(
-                    self._service_time("write", lba, nsectors))
-                self._last = ("write", lba + nsectors)
-                if faults is not None and faults.crash_armed:
-                    # The one crash hook: writes are counted as they land.
-                    faults.on_landing(self, lba, data)
-                self._save(lba, data)
-                self.writes += 1
-                self.bytes_written += len(data)
-                return None
-            finally:
-                self.busy.exit()
-                self._slot.release()
+        yield self._slot.acquire()
+        self.busy.enter()
+        try:
+            faults = self.faults
+            if faults is not None:
+                faults.on_disk_op(self, "write")
+            if self.failed:
+                raise DiskFailedError(self.name)
+            yield self.sim.timeout(
+                self._service_time("write", lba, nsectors))
+            self._last = ("write", lba + nsectors)
+            if faults is not None and faults.crash_armed:
+                # The one crash hook: writes are counted as they land.
+                faults.on_landing(self, lba, data)
+            self._save(lba, data)
+            self.writes += 1
+            self.bytes_written += len(data)
+            return None
+        finally:
+            self.busy.exit()
+            self._slot.release()
 
     def _service_time(self, kind: str, lba: int, nsectors: int) -> float:
         spec = self.spec
@@ -239,65 +293,42 @@ class DiskDrive:
         self._save(lba, data)
 
     def _load(self, lba: int, nsectors: int) -> bytes:
-        first, head = divmod(lba, _BLOCK_SECTORS)
-        get = self._store.get
-        if not head and nsectors == _BLOCK_SECTORS:
-            return get(first, _ZERO_BLOCK)
-        last, tail = divmod(lba + nsectors - 1, _BLOCK_SECTORS)
-        if first == last:
-            return get(first, _ZERO_BLOCK)[
-                head * SECTOR_SIZE:(tail + 1) * SECTOR_SIZE]
-        parts: list = [get(index, _ZERO_BLOCK)
-                       for index in range(first, last + 1)]
-        if head:
-            parts[0] = memoryview(parts[0])[head * SECTOR_SIZE:]
-        if tail != _BLOCK_SECTORS - 1:
-            parts[-1] = memoryview(parts[-1])[:(tail + 1) * SECTOR_SIZE]
-        return b"".join(parts)
+        return self._store[lba * SECTOR_SIZE:(lba + nsectors) * SECTOR_SIZE]
 
     def _save(self, lba: int, data: bytes) -> None:
-        view = memoryview(data)
-        size = len(view)
-        index, head = divmod(lba, _BLOCK_SECTORS)
-        at = 0
-        if head:
-            # Leading partial block.
-            at = min(size, STORE_BLOCK_BYTES - head * SECTOR_SIZE)
-            self._merge(index, head * SECTOR_SIZE, view[:at])
-            index += 1
-        body_end = size - (size - at) % STORE_BLOCK_BYTES
-        store = self._store
-        for start in range(at, body_end, STORE_BLOCK_BYTES):
-            # The durability boundary: bytes become stable here.
-            store[index] = bytes(  # lint: disable=SIM004
-                view[start:start + STORE_BLOCK_BYTES])
-            index += 1
-        if body_end < size:
-            # Trailing partial block.
-            self._merge(index, 0, view[body_end:])
+        start = lba * SECTOR_SIZE
+        end = start + len(data)
+        # The durability boundary: bytes become stable here.
+        self._store[start:end] = data  # lint: disable=SIM004
+        first = start // STORE_BLOCK_BYTES
+        last = -(-end // STORE_BLOCK_BYTES)
+        self._written[first:last] = b"\x01" * (last - first)
         if self._bad_sectors:
             # Writing a latent-error sector remaps/heals it.
             self._bad_sectors.difference_update(
-                range(lba, lba + size // SECTOR_SIZE))
+                range(lba, lba + len(data) // SECTOR_SIZE))
 
-    def _merge(self, index: int, offset: int, piece: memoryview) -> None:
-        """Write ``piece`` into block ``index`` at byte ``offset``,
-        keeping the rest of the block (zeros if never written)."""
-        old = memoryview(self._store.get(index, _ZERO_BLOCK))
-        self._store[index] = b"".join(
-            (old[:offset], piece, old[offset + len(piece):]))
-
-    def snapshot(self) -> dict:
+    def snapshot(self) -> list:
         """The durable contents, for :meth:`restore` (instant, untimed).
 
-        The value is opaque to callers; stored blocks are immutable, so
-        a shallow copy of the store is a complete snapshot.
+        The value is opaque to callers: a copy of each run of written
+        blocks, so its size follows what was written, not the capacity.
         """
-        return dict(self._store)
+        store = self._store
+        return [(first, store[first * STORE_BLOCK_BYTES:
+                              last * STORE_BLOCK_BYTES])
+                for first, last in _written_runs(self._written)]
 
-    def restore(self, state: dict) -> None:
+    def restore(self, state: list) -> None:
         """Replace the durable contents with a :meth:`snapshot`."""
-        self._store = dict(state)
+        _zero_written(self._store, self._written)
+        store = self._store
+        written = self._written
+        for first, data in state:
+            start = first * STORE_BLOCK_BYTES
+            store[start:start + len(data)] = data
+            last = first + -(-len(data) // STORE_BLOCK_BYTES)
+            written[first:last] = b"\x01" * (last - first)
 
     def _check_extent(self, lba: int, nsectors: int) -> None:
         if nsectors <= 0:

@@ -39,14 +39,12 @@ class HippiPort:
             raise HardwareError(f"negative transfer size: {nbytes}")
         if packets < 1:
             raise HardwareError(f"packets must be >= 1, got {packets}")
-        with self.sim.tracer.span("hippi.send", self.name, nbytes=nbytes,
-                                  packets=packets):
-            faults = self.faults
-            if faults is not None:
-                delay = faults.stall_delay(self.name)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-            setup = packets * self.spec.packet_overhead_s
-            yield self.sim.timeout(setup)
-            yield from self.channel.transfer(nbytes)
-            self.packets_sent += packets
+        faults = self.faults
+        if faults is not None:
+            delay = faults.stall_delay(self.name)
+            if delay > 0.0:
+                yield self.sim.timeout(delay)
+        setup = packets * self.spec.packet_overhead_s
+        yield self.sim.timeout(setup)
+        yield from self.channel.transfer(nbytes)
+        self.packets_sent += packets

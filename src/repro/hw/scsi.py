@@ -29,6 +29,7 @@ class ScsiString:
             sim, rate_mb_s=spec.rate_mb_s,
             per_transfer_overhead=spec.per_transfer_overhead_s,
             name=f"{name}.bus")
+        self.channel.span = "scsi.transfer"
         self.disks: list[DiskDrive] = []
         #: Optional fault-injection hook (see repro.faults.inject).
         self.faults = None
@@ -38,25 +39,19 @@ class ScsiString:
             raise HardwareError(f"{disk.name} already attached to {self.name}")
         self.disks.append(disk)
 
-    def transfer(self, nbytes: int, write: bool = False):
-        """Process: move ``nbytes`` across the string (queue + service).
+    def transfer(self, nbytes: int):
+        """Process: wait out any stall on this string, then move
+        ``nbytes`` across it (queue + service).
 
-        Writes run at the string's (lower) write rate; the shared bus
-        lock still serializes both directions.
+        Only a string with a fault hook needs this; otherwise a leg is
+        the bus channel's own transfer.  Writes run at the string's
+        (lower) write rate on the same bus: the caller charges them
+        the byte count that takes as long at the read rate, so the
+        shared FIFO channel still serializes both directions.
         """
-        with self.sim.tracer.span("scsi.transfer", self.name,
-                                  nbytes=nbytes, write=write):
-            faults = self.faults
-            if faults is not None:
-                delay = faults.stall_delay(self.name)
-                if delay > 0.0:
-                    yield self.sim.timeout(delay)
-            if write:
-                # Same bus, slower effective rate: scale the byte
-                # count so the shared FIFO channel charges
-                # write-rate time.
-                scaled = int(nbytes * self.spec.rate_mb_s
-                             / self.spec.write_rate_mb_s)
-                yield from self.channel.transfer(scaled)
-            else:
-                yield from self.channel.transfer(nbytes)
+        faults = self.faults
+        if faults is not None:
+            delay = faults.stall_delay(self.name)
+            if delay > 0.0:
+                yield self.sim.timeout(delay)
+        yield from self.channel.transfer(nbytes)

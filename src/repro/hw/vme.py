@@ -54,25 +54,21 @@ class VmePort:
 
     def transfer(self, nbytes: int, direction: Direction):
         """Process: move ``nbytes`` across the port (queue + service)."""
-        # ``_value_`` is the member's plain attribute; ``.value`` is a
-        # Python-level property, evaluated on every transfer otherwise.
-        with self.sim.tracer.span("vme.transfer", self.name, nbytes=nbytes,
-                                  direction=direction._value_):
-            yield self._lock.acquire()
-            try:
-                faults = self.faults
-                if faults is not None:
-                    # A stalled VME link holds the bus: the delay is
-                    # charged under the lock so queued transfers wait.
-                    delay = faults.stall_delay(self.name)
-                    if delay > 0.0:
-                        yield self.sim.timeout(delay)
-                duration = self.transfer_time(nbytes, direction)
-                yield self.sim.timeout(duration)
-                self.bytes_moved += nbytes
-                self.busy_time += duration
-            finally:
-                self._lock.release()
+        yield self._lock.acquire()
+        try:
+            faults = self.faults
+            if faults is not None:
+                # A stalled VME link holds the bus: the delay is
+                # charged under the lock so queued transfers wait.
+                delay = faults.stall_delay(self.name)
+                if delay > 0.0:
+                    yield self.sim.timeout(delay)
+            duration = self.transfer_time(nbytes, direction)
+            yield self.sim.timeout(duration)
+            self.bytes_moved += nbytes
+            self.busy_time += duration
+        finally:
+            self._lock.release()
 
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:

@@ -61,6 +61,12 @@ class XbusConfig:
         return cougars * self.strings_per_cougar * self.disks_per_string
 
 
+#: Leg names of a disk path's stages: the memory leg is the bank
+#: channel's own transfer, so the names are given, not taken from it.
+_READ_LEGS = ("read", "transfer", "access")
+_WRITE_LEGS = ("access", "transfer", "write")
+
+
 class XbusDiskPath:
     """Adapter: one disk reachable through its Cougar + VME port.
 
@@ -72,6 +78,7 @@ class XbusDiskPath:
 
     def __init__(self, board: "XbusBoard", cougar: CougarController,
                  port: VmePort, disk: DiskDrive):
+        self.sim = board.sim
         self.board = board
         self.cougar = cougar
         self.port = port
@@ -83,27 +90,23 @@ class XbusDiskPath:
 
     def read(self, lba: int, nsectors: int):
         """Process: disk -> ... -> XBUS memory; returns the bytes."""
-        sim = self.board.sim
         nbytes = nsectors * SECTOR_SIZE
-        with sim.tracer.span("xbus.disk_read", self.name, nbytes=nbytes):
-            values = yield sim.fork([
-                self.cougar.read(self.disk, lba, nsectors),
-                self.port.transfer(nbytes, Direction.READ),
-                self.board.memory.access(nbytes),
-            ])
-            return values[0]
+        values = yield self.sim.fork([
+            self.cougar.read(self.disk, lba, nsectors),
+            self.port.transfer(nbytes, Direction.READ),
+            self.board.memory.channel.transfer(nbytes),
+        ], _READ_LEGS)
+        return values[0]
 
     def write(self, lba: int, data: bytes):
         """Process: XBUS memory -> ... -> disk."""
-        sim = self.board.sim
-        with sim.tracer.span("xbus.disk_write", self.name,
-                             nbytes=len(data)):
-            yield sim.fork([
-                self.board.memory.access(len(data)),
-                self.port.transfer(len(data), Direction.WRITE),
-                self.cougar.write(self.disk, lba, data),
-            ])
-            return None
+        nbytes = len(data)
+        yield self.sim.fork([
+            self.board.memory.channel.transfer(nbytes),
+            self.port.transfer(nbytes, Direction.WRITE),
+            self.cougar.write(self.disk, lba, data),
+        ], _WRITE_LEGS)
+        return None
 
 
 class XbusBoard:
@@ -188,23 +191,19 @@ class XbusBoard:
     # ------------------------------------------------------------------
     def send_hippi(self, nbytes: int, packets: int = 1):
         """Process: XBUS memory -> HIPPI source port -> network."""
-        with self.sim.tracer.span("xbus.send_hippi", self.name,
-                                  nbytes=nbytes):
-            yield self.sim.fork([
-                self.memory.access(nbytes),
-                self.hippi_source.send(nbytes, packets),
-            ])
-            return None
+        yield self.sim.fork([
+            self.memory.access(nbytes),
+            self.hippi_source.send(nbytes, packets),
+        ], ("access", "send"))
+        return None
 
     def receive_hippi(self, nbytes: int, packets: int = 1):
         """Process: network -> HIPPI destination port -> XBUS memory."""
-        with self.sim.tracer.span("xbus.receive_hippi", self.name,
-                                  nbytes=nbytes):
-            yield self.sim.fork([
-                self.hippi_dest.send(nbytes, packets),
-                self.memory.access(nbytes),
-            ])
-            return None
+        yield self.sim.fork([
+            self.hippi_dest.send(nbytes, packets),
+            self.memory.access(nbytes),
+        ], ("send", "access"))
+        return None
 
     def hippi_loopback(self, nbytes: int, packets: int = 1):
         """Process: memory -> source -> destination -> memory (Figure 6).
@@ -213,35 +212,30 @@ class XbusBoard:
         consumes the stream as the source emits it, which is how the
         loopback sustains 38.5 MB/s *in each direction*.
         """
-        with self.sim.tracer.span("xbus.hippi_loopback", self.name,
-                                  nbytes=nbytes):
-            yield self.sim.fork([
-                self.send_hippi(nbytes, packets),
-                self.receive_hippi(nbytes, packets),
-            ])
-            return None
+        yield self.sim.fork([
+            self.send_hippi(nbytes, packets),
+            self.receive_hippi(nbytes, packets),
+        ])
+        return None
 
     # ------------------------------------------------------------------
     # host-side (control path) data movement
     # ------------------------------------------------------------------
     def to_host(self, nbytes: int):
         """Process: XBUS memory -> control port (toward host memory)."""
-        with self.sim.tracer.span("xbus.to_host", self.name, nbytes=nbytes):
-            yield self.sim.fork([
-                self.memory.access(nbytes),
-                self.control_port.transfer(nbytes, Direction.WRITE),
-            ])
-            return None
+        yield self.sim.fork([
+            self.memory.access(nbytes),
+            self.control_port.transfer(nbytes, Direction.WRITE),
+        ], ("access", "transfer"))
+        return None
 
     def from_host(self, nbytes: int):
         """Process: control port -> XBUS memory."""
-        with self.sim.tracer.span("xbus.from_host", self.name,
-                                  nbytes=nbytes):
-            yield self.sim.fork([
-                self.control_port.transfer(nbytes, Direction.READ),
-                self.memory.access(nbytes),
-            ])
-            return None
+        yield self.sim.fork([
+            self.control_port.transfer(nbytes, Direction.READ),
+            self.memory.access(nbytes),
+        ], ("transfer", "access"))
+        return None
 
     # ------------------------------------------------------------------
     # parity
@@ -252,9 +246,8 @@ class XbusBoard:
         Charges the engine port plus the matching memory-bank traffic.
         """
         traffic = sum(len(block) for block in blocks) + len(blocks[0])
-        with self.sim.tracer.span("xbus.parity", self.name, nbytes=traffic):
-            values = yield self.sim.fork([
-                self.parity_engine.compute(blocks),
-                self.memory.access(traffic),
-            ])
-            return values[0]
+        values = yield self.sim.fork([
+            self.parity_engine.compute(blocks),
+            self.memory.access(traffic),
+        ], ("compute", "access"))
+        return values[0]

@@ -69,30 +69,27 @@ def clean(fs, max_segments: int = 1,
     reclaimed: list[int] = []
     fs.writer.cleaning = True  # unlock the reserved segments
     try:
-        with fs.sim.tracer.span("cleaner.clean", fs.name,
-                                max_segments=max_segments,
-                                policy=policy.value):
-            # One victim at a time: each reclamation frees a segment
-            # before the next evacuation needs space, so in-flight
-            # copies never outgrow the reserve even on a completely
-            # full log.
-            for _round in range(max_segments):
-                victims = pick_victims(fs, 1, policy)
-                if not victims:
-                    break
-                victim = victims[0]
-                yield from _evacuate(fs, victim)
-                # Persist the copies (including relocated imap blocks,
-                # which only a checkpoint writes) before reusing it.
-                yield from fs.checkpoint()
-                entry = fs.usage[victim]
-                if entry.live_bytes != 0:
-                    raise FileSystemError(
-                        f"segment {victim} still has {entry.live_bytes} "
-                        "live bytes after cleaning")
-                entry.state = SegmentState.CLEAN
-                fs.segments_cleaned += 1
-                reclaimed.append(victim)
+        # One victim at a time: each reclamation frees a segment
+        # before the next evacuation needs space, so in-flight
+        # copies never outgrow the reserve even on a completely
+        # full log.
+        for _round in range(max_segments):
+            victims = pick_victims(fs, 1, policy)
+            if not victims:
+                break
+            victim = victims[0]
+            yield from _evacuate(fs, victim)
+            # Persist the copies (including relocated imap blocks,
+            # which only a checkpoint writes) before reusing it.
+            yield from fs.checkpoint()
+            entry = fs.usage[victim]
+            if entry.live_bytes != 0:
+                raise FileSystemError(
+                    f"segment {victim} still has {entry.live_bytes} "
+                    "live bytes after cleaning")
+            entry.state = SegmentState.CLEAN
+            fs.segments_cleaned += 1
+            reclaimed.append(victim)
     finally:
         fs.writer.cleaning = False
     return reclaimed
@@ -101,17 +98,16 @@ def clean(fs, max_segments: int = 1,
 def _evacuate(fs, victim: int):
     """Process: move every live block out of ``victim``."""
     base = fs.writer.segment_base(victim)
-    with fs.sim.tracer.span("cleaner.evacuate", fs.name, segment=victim):
-        for fragment in scan_segment(fs, victim):
-            # One timed read for the summary block itself.
-            yield from fs.device.read(
-                (base + fragment.start_offset) * BLOCK_SIZE, BLOCK_SIZE)
-            for position, block_id in enumerate(fragment.summary.entries):
-                addr = base + fragment.start_offset + 1 + position
-                live = yield from _is_live_timed(fs, block_id, addr)
-                if not live:
-                    continue
-                yield from _relocate(fs, block_id, addr)
+    for fragment in scan_segment(fs, victim):
+        # One timed read for the summary block itself.
+        yield from fs.device.read(
+            (base + fragment.start_offset) * BLOCK_SIZE, BLOCK_SIZE)
+        for position, block_id in enumerate(fragment.summary.entries):
+            addr = base + fragment.start_offset + 1 + position
+            live = yield from _is_live_timed(fs, block_id, addr)
+            if not live:
+                continue
+            yield from _relocate(fs, block_id, addr)
     return None
 
 

@@ -162,7 +162,8 @@ class LogStructuredFS:
         return None
 
     def mount(self):
-        """Process: load the volume, roll the log forward, rebuild usage."""
+        """Process: load the volume, roll the log forward and, if that
+        applied any fragment, rebuild segment usage."""
         if self.mounted:
             raise FileSystemError("already mounted")
         sb_block = yield from self.device.read(0, BLOCK_SIZE)
@@ -190,7 +191,12 @@ class LogStructuredFS:
         if head.segment < self.sb.nsegments:
             self.writer.resume_at(head.segment, head.offset)
         self.writer.next_fragment_seq = head.next_fragment_seq
-        recovery.rebuild_usage(self)
+        if head.next_fragment_seq != checkpoint.next_fragment_seq:
+            # Fragments rolled forward: the checkpoint's usage table is
+            # stale.  On a clean mount it is exact, and a rebuild would
+            # revive cleaned segments (whose stale summaries remain) as
+            # dirty.
+            recovery.rebuild_usage(self)
         # Note: imap entries updated by roll-forward stay dirty so the
         # next checkpoint persists them.
         return None
@@ -874,13 +880,12 @@ class LogStructuredFS:
         """
         if self._oplock is None:
             self._oplock = _make_oplock(self.sim, self.name)
-        with self.sim.tracer.span(f"lfs.{op}", self.name, nbytes=nbytes):
-            yield self._oplock.acquire()
-            try:
-                result = yield from operation
-                return result
-            finally:
-                self._oplock.release()
+        yield self._oplock.acquire()
+        try:
+            result = yield from operation
+            return result
+        finally:
+            self._oplock.release()
 
     def read(self, path: str, offset: int, nbytes: int):
         """Process: read up to ``nbytes`` at ``offset``; returns bytes."""

@@ -13,10 +13,13 @@ Mount applies, in order:
    continues the checkpoint's chain re-applies its inode and imap
    updates; the chain stops at the first gap or invalid summary, which
    is exactly the crash point,
-3. **usage rebuild**: segment liveness is recomputed by scanning
-   summaries and testing each block's identity against the recovered
-   maps (our prototype favours a provably correct rebuild over
-   Sprite's incremental bookkeeping; volumes here are simulator-sized).
+3. **usage rebuild**, when roll-forward applied any fragment: segment
+   liveness is recomputed by scanning summaries and testing each
+   block's identity against the recovered maps (our prototype favours
+   a provably correct rebuild over Sprite's incremental bookkeeping;
+   volumes here are simulator-sized).  A clean mount keeps the
+   checkpoint's usage table, which is exact: a rebuild would count a
+   cleaned segment, whose stale summaries remain, as dirty.
 """
 
 from __future__ import annotations

@@ -31,13 +31,11 @@ class UltranetLink:
 
     def rpc(self):
         """Process: one control round trip (request + reply)."""
-        with self.sim.tracer.span("ultranet.rpc", self.name):
-            yield self.sim.timeout(2 * self.CONTROL_LATENCY_S)
-            self.rpcs += 1
-            return None
+        yield self.sim.timeout(2 * self.CONTROL_LATENCY_S)
+        self.rpcs += 1
+        return None
 
     def data(self, nbytes: int):
         """Process: bulk bytes crossing the ring fabric."""
-        with self.sim.tracer.span("ultranet.data", self.name, nbytes=nbytes):
-            yield from self.channel.transfer(nbytes)
-            return None
+        yield from self.channel.transfer(nbytes)
+        return None

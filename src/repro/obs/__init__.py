@@ -3,10 +3,13 @@
 The subsystem threads through the whole stack (DESIGN.md §8):
 
 * :mod:`repro.obs.trace` — spans and the per-simulator tracer; the
-  default :data:`NULL_TRACER` makes disabled tracing nearly free.
+  default :data:`NULL_TRACER` opens no-op spans.
+* :mod:`repro.obs.spans` — the table of data-path methods that record
+  spans, installed only while a tracing session is open.
 * :mod:`repro.obs.metrics` — the per-simulator instrument registry.
 * :mod:`repro.obs.session` — ambient collection for the experiment
-  CLI's ``--trace``/``--metrics`` flags.
+  CLI's ``--trace``/``--metrics`` flags; a tracing session installs the
+  span table.
 * :mod:`repro.obs.export` — Chrome trace JSON (Perfetto), the text
   flamegraph, per-layer breakdown and utilization reports.
 """

@@ -8,6 +8,13 @@ the session asked for tracing — receives a live :class:`Tracer`
 instead of the null one.  Afterwards the session holds every tracer
 and metrics registry the run produced, ready for export.
 
+A tracing session also installs the span table of
+:mod:`repro.obs.spans` while it is open, and puts the original methods
+back when it closes, normally or by an exception: spans are recorded
+only inside ``observe(trace=True)``.  Outside such a session the data
+path carries no tracing code at all, and a simulator's tracer is the
+shared :data:`NULL_TRACER`.
+
 Outside a session (the default), :func:`observe_simulator` hands out
 the shared :data:`NULL_TRACER` and a fresh registry, and costs one
 module-global read per ``Simulator()``.
@@ -18,6 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 
@@ -54,14 +62,19 @@ class ObsSession:
 
 @contextmanager
 def observe(trace: bool = False) -> Iterator[ObsSession]:
-    """Collect tracers/registries from every simulator created inside."""
+    """Collect tracers/registries from every simulator created inside;
+    with ``trace``, record spans while the block runs."""
     global _ACTIVE
     session = ObsSession(trace=trace)
     previous, _ACTIVE = _ACTIVE, session
+    if trace:
+        spans.install()
     try:
         yield session
     finally:
         _ACTIVE = previous
+        if trace:
+            spans.uninstall()
 
 
 def observe_simulator(sim) -> tuple:

@@ -2,16 +2,18 @@
 
 A :class:`Tracer` records *spans* — named, component-tagged intervals
 of simulated time with parent/child structure — as the data path
-executes.  Component code instruments itself with::
+executes.  A span is opened with::
 
     with self.sim.tracer.span("disk.read", self.name, nbytes=nbytes):
         ... the timed operation ...
 
-and pays essentially nothing when tracing is off: the default
-:data:`NULL_TRACER` answers ``span()`` with a shared no-op handle, so
-the disabled cost per operation is one method call returning a
-singleton (the kernel itself only ever performs a single
-``tracer.enabled`` attribute check, in :meth:`Simulator.process`).
+The data path itself carries no such calls: the table in
+:mod:`repro.obs.spans` wraps its generator methods in exactly this
+``with`` while an ``observe(trace=True)`` session is open, and the
+bare methods run otherwise, so tracing off costs no span call at all
+(the kernel's only check is one ``tracer.enabled`` read per process
+start).  Ad-hoc code may still open spans directly; the default
+:data:`NULL_TRACER` answers ``span()`` with a shared no-op handle.
 
 Tracing may *observe* but never *schedule*: a tracer must not create
 events, timeouts or processes, and must not consume simulator sequence

@@ -139,13 +139,11 @@ class _BaseController:
     # ------------------------------------------------------------------
     def read(self, offset: int, nbytes: int):
         """Process: read a logical range; returns the bytes."""
-        with self.sim.tracer.span("raid.read", self.name, nbytes=nbytes,
-                                  offset=offset):
-            pieces = self.layout.map_data(offset, nbytes)
-            values = yield self.sim.fork(
-                [self._read_piece(piece) for piece in pieces],
-                ["piece-read"] * len(pieces))
-            return b"".join(values)
+        pieces = self.layout.map_data(offset, nbytes)
+        values = yield self.sim.fork(
+            [self._read_piece(piece) for piece in pieces],
+            ["piece-read"] * len(pieces))
+        return b"".join(values)
 
     def _read_piece(self, piece: Piece):
         path = self.paths[piece.disk]
@@ -170,18 +168,16 @@ class _BaseController:
     # ------------------------------------------------------------------
     def write(self, offset: int, data: bytes):
         """Process: write a logical range, row by row."""
-        with self.sim.tracer.span("raid.write", self.name,
-                                  nbytes=len(data), offset=offset):
-            pieces = self.layout.map_data(offset, len(data))
-            data = memoryview(data)  # sliced (never copied) on the way down
-            by_row: dict[int, list[Piece]] = {}
-            for piece in pieces:
-                by_row.setdefault(piece.row, []).append(piece)
-            yield self.sim.fork(
-                [self._write_row(row, row_pieces, offset, data)
-                 for row, row_pieces in by_row.items()],
-                [f"{self.name}.row{row}.write" for row in by_row])
-            return None
+        pieces = self.layout.map_data(offset, len(data))
+        data = memoryview(data)  # sliced (never copied) on the way down
+        by_row: dict[int, list[Piece]] = {}
+        for piece in pieces:
+            by_row.setdefault(piece.row, []).append(piece)
+        yield self.sim.fork(
+            [self._write_row(row, row_pieces, offset, data)
+             for row, row_pieces in by_row.items()],
+            [f"{self.name}.row{row}.write" for row in by_row])
+        return None
 
     def _write_row(self, row: int, pieces: list[Piece], offset: int,
                    data: memoryview):
@@ -277,24 +273,22 @@ class _BaseController:
             self.layout.rows, max_rows)
         self._rebuild_frontier[disk_index] = 0
         self.paths[disk_index].disk.replacement = False
-        with self.sim.tracer.span("raid.rebuild", self.name,
-                                  disk=disk_index, rows=rows):
-            row = 0
-            while row < rows:
-                nrows = min(self._rebuild_chunk_rows, rows - row)
-                lock = self._rebuild_lock(row)
-                yield lock.acquire()
-                try:
-                    data = yield from self._reconstruct_rows(disk_index, row,
-                                                             nrows)
-                    yield from self._data_write(
-                        disk_index, self.layout.row_lba(row), data,
-                        tolerate_failure=False)
-                    self._rebuild_frontier[disk_index] = row + nrows
-                    self._m_rebuilt_rows.inc(nrows)
-                finally:
-                    lock.release()
-                row += nrows
+        row = 0
+        while row < rows:
+            nrows = min(self._rebuild_chunk_rows, rows - row)
+            lock = self._rebuild_lock(row)
+            yield lock.acquire()
+            try:
+                data = yield from self._reconstruct_rows(disk_index, row,
+                                                         nrows)
+                yield from self._data_write(
+                    disk_index, self.layout.row_lba(row), data,
+                    tolerate_failure=False)
+                self._rebuild_frontier[disk_index] = row + nrows
+                self._m_rebuilt_rows.inc(nrows)
+            finally:
+                lock.release()
+            row += nrows
         if rows == self.layout.rows:
             del self._rebuild_frontier[disk_index]
         return None
@@ -333,17 +327,15 @@ class Raid0Controller(_BaseController):
     def write(self, offset: int, data: bytes):
         """Process: write a logical range (no row locks: nothing to
         keep consistent across disks)."""
-        with self.sim.tracer.span("raid.write", self.name,
-                                  nbytes=len(data), offset=offset):
-            pieces = self.layout.map_data(offset, len(data))
-            view = memoryview(data)  # pieces are views; disks copy at poke
-            writes = []
-            for piece in pieces:
-                start = piece.logical_offset - offset
-                writes.append(self.paths[piece.disk].write(
-                    piece.lba, view[start:start + piece.nbytes]))
-            yield self.sim.fork(writes)
-            return None
+        pieces = self.layout.map_data(offset, len(data))
+        view = memoryview(data)  # pieces are views; disks copy at poke
+        writes = []
+        for piece in pieces:
+            start = piece.logical_offset - offset
+            writes.append(self.paths[piece.disk].write(
+                piece.lba, view[start:start + piece.nbytes]))
+        yield self.sim.fork(writes)
+        return None
 
 
 class Raid1Controller(_BaseController):
@@ -521,23 +513,20 @@ class Raid5Controller(_BaseController):
         # A row's pieces are consecutive slices of one logical range.
         last = pieces[-1]
         covered = last.logical_offset + last.nbytes - pieces[0].logical_offset
-        with self.sim.tracer.span("raid.write_row", self.name,
-                                  nbytes=covered, row=row) as span:
-            lock = self._row_lock(row)
-            yield lock.acquire()
-            try:
-                row_bytes = (self.layout.data_units_per_row
-                             * self.layout.stripe_unit_bytes)
-                if covered == row_bytes:
-                    span.set(strategy="full_stripe")
-                    yield from self._full_stripe_write(row, pieces, offset,
-                                                       data)
-                else:
-                    yield from self._partial_write(row, pieces, covered,
-                                                   offset, data)
-            finally:
-                lock.release()
-            return None
+        lock = self._row_lock(row)
+        yield lock.acquire()
+        try:
+            row_bytes = (self.layout.data_units_per_row
+                         * self.layout.stripe_unit_bytes)
+            if covered == row_bytes:
+                yield from self._full_stripe_write(row, pieces, offset,
+                                                   data)
+            else:
+                yield from self._partial_write(row, pieces, covered,
+                                               offset, data)
+        finally:
+            lock.release()
+        return None
 
     def _write_with_parity(self, data_writes, parity_disk: int,
                            parity_lba: int, parity_blocks):
@@ -894,44 +883,40 @@ class Raid3Controller(_BaseController):
     def read(self, offset: int, nbytes: int):
         """Process: read a logical range (whole rows, one I/O at a time)."""
         self.layout.check_range(offset, nbytes)
-        with self.sim.tracer.span("raid.read", self.name, nbytes=nbytes,
-                                  offset=offset):
-            yield self._array_lock.acquire()
-            try:
-                first, last = self._row_span(offset, nbytes)
-                buffers = yield from self._read_rows(first, last)
-                logical = self._interleave(buffers)
-                start = offset - first * self.row_bytes
-                return logical[start:start + nbytes]
-            finally:
-                self._array_lock.release()
+        yield self._array_lock.acquire()
+        try:
+            first, last = self._row_span(offset, nbytes)
+            buffers = yield from self._read_rows(first, last)
+            logical = self._interleave(buffers)
+            start = offset - first * self.row_bytes
+            return logical[start:start + nbytes]
+        finally:
+            self._array_lock.release()
 
     def write(self, offset: int, data: bytes):
         """Process: write a logical range with whole-row parity."""
         self.layout.check_range(offset, len(data))
-        with self.sim.tracer.span("raid.write", self.name,
-                                  nbytes=len(data), offset=offset):
-            yield self._array_lock.acquire()
-            try:
-                first, last = self._row_span(offset, len(data))
-                span_bytes = (last - first + 1) * self.row_bytes
-                start = offset - first * self.row_bytes
-                aligned = start == 0 and len(data) == span_bytes
-                if aligned:
-                    logical = data
-                else:
-                    old_buffers = yield from self._read_rows(first, last)
-                    image = bytearray(self._interleave(old_buffers))
-                    image[start:start + len(data)] = data
-                    logical = image  # deinterleave reads it in place
-                ndisks = self.layout.data_units_per_row
-                buffers = self._deinterleave(logical, ndisks)
-                parity = yield from self.parity.compute(buffers)
-                writes = [self._data_write(d, first, buffers[d])
-                          for d in range(ndisks)]
-                writes.append(self._data_write(
-                    self._layout3.parity_disk(0), first, parity))
-                yield self.sim.fork(writes)
-                return None
-            finally:
-                self._array_lock.release()
+        yield self._array_lock.acquire()
+        try:
+            first, last = self._row_span(offset, len(data))
+            span_bytes = (last - first + 1) * self.row_bytes
+            start = offset - first * self.row_bytes
+            aligned = start == 0 and len(data) == span_bytes
+            if aligned:
+                logical = data
+            else:
+                old_buffers = yield from self._read_rows(first, last)
+                image = bytearray(self._interleave(old_buffers))
+                image[start:start + len(data)] = data
+                logical = image  # deinterleave reads it in place
+            ndisks = self.layout.data_units_per_row
+            buffers = self._deinterleave(logical, ndisks)
+            parity = yield from self.parity.compute(buffers)
+            writes = [self._data_write(d, first, buffers[d])
+                      for d in range(ndisks)]
+            writes.append(self._data_write(
+                self._layout3.parity_disk(0), first, parity))
+            yield self.sim.fork(writes)
+            return None
+        finally:
+            self._array_lock.release()

@@ -143,11 +143,9 @@ class Raid2Server:
         """
         board = self.boards[board_index]
         raid = self.raids[board_index]
-        with self.sim.tracer.span("server.hw_read", self.name,
-                                  nbytes=nbytes):
-            yield self.sim.fork([raid.read(offset, nbytes),
-                                 board.hippi_loopback(nbytes)])
-            return None
+        yield self.sim.fork([raid.read(offset, nbytes),
+                             board.hippi_loopback(nbytes)])
+        return None
 
     def hw_write(self, offset: int, nbytes: int, board_index: int = 0,
                  fill: int = 0x5A):
@@ -158,11 +156,9 @@ class Raid2Server:
         board = self.boards[board_index]
         raid = self.raids[board_index]
         payload = bytes([fill]) * nbytes
-        with self.sim.tracer.span("server.hw_write", self.name,
-                                  nbytes=nbytes):
-            yield self.sim.fork([board.hippi_loopback(nbytes),
-                                 raid.write(offset, payload)])
-            return None
+        yield self.sim.fork([board.hippi_loopback(nbytes),
+                             raid.write(offset, payload)])
+        return None
 
     def hw_read_through_host(self, offset: int, nbytes: int,
                              board_index: int = 0):
@@ -175,14 +171,12 @@ class Raid2Server:
         """
         raid = self.raids[board_index]
         board = self.boards[board_index]
-        with self.sim.tracer.span("server.hw_read_through_host", self.name,
-                                  nbytes=nbytes):
-            for position, take in _chunks(offset, nbytes):
-                yield from raid.read(position, take)
-                yield self.sim.fork([board.to_host(take),
-                                     self.host.dma_in(take)])
-                yield from self.host.copy(take)
-            return None
+        for position, take in _chunks(offset, nbytes):
+            yield from raid.read(position, take)
+            yield self.sim.fork([board.to_host(take),
+                                 self.host.dma_in(take)])
+            yield from self.host.copy(take)
+        return None
 
     # ------------------------------------------------------------------
     # high-bandwidth mode (Ultranet / HIPPI clients)
@@ -198,21 +192,19 @@ class Raid2Server:
         copy-bound network stack, this pins single-client reads around
         3 MB/s, as measured.
         """
-        with self.sim.tracer.span("server.client_read", self.name,
-                                  nbytes=nbytes, path=path):
-            yield from link.rpc()
-            data = yield from self.fs.read(path, offset, nbytes)
-            for position, take in _chunks(0, len(data)):
-                yield self.host.cpu.acquire()  # polling driver
-                try:
-                    yield self.sim.fork([
-                        self.board.send_hippi(take),
-                        link.data(take),
-                        client.memory.transfer(3 * take),
-                    ])
-                finally:
-                    self.host.cpu.release()
-            return data
+        yield from link.rpc()
+        data = yield from self.fs.read(path, offset, nbytes)
+        for position, take in _chunks(0, len(data)):
+            yield self.host.cpu.acquire()  # polling driver
+            try:
+                yield self.sim.fork([
+                    self.board.send_hippi(take),
+                    link.data(take),
+                    client.memory.transfer(3 * take),
+                ])
+            finally:
+                self.host.cpu.release()
+        return data
 
     def client_write(self, client: Workstation, link: UltranetLink,
                      path: str, offset: int, data: bytes):
@@ -222,27 +214,25 @@ class Raid2Server:
         passes per byte (the copies that limit a SPARCstation 10/51 to
         ~3.1 MB/s); host CPU use is near zero (Section 3.4).
         """
-        with self.sim.tracer.span("server.client_write", self.name,
-                                  nbytes=len(data), path=path):
-            yield from link.rpc()
-            pending_write = None
-            for position, take in _chunks(0, len(data)):
-                yield self.sim.fork([
-                    client.memory.transfer(3 * take),
-                    link.data(take),
-                    self.board.receive_hippi(take),
-                ])
-                if pending_write is not None:
-                    yield pending_write
-                # The file-system work for this chunk overlaps the
-                # network legs of the next one (LFS ops themselves
-                # serialize on the host, so at most one is in flight).
-                pending_write = self.sim.process(self.fs.write(
-                    path, offset + position,
-                    data[position:position + take]))
+        yield from link.rpc()
+        pending_write = None
+        for position, take in _chunks(0, len(data)):
+            yield self.sim.fork([
+                client.memory.transfer(3 * take),
+                link.data(take),
+                self.board.receive_hippi(take),
+            ])
             if pending_write is not None:
                 yield pending_write
-            return None
+            # The file-system work for this chunk overlaps the
+            # network legs of the next one (LFS ops themselves
+            # serialize on the host, so at most one is in flight).
+            pending_write = self.sim.process(self.fs.write(
+                path, offset + position,
+                data[position:position + take]))
+        if pending_write is not None:
+            yield pending_write
+        return None
 
     # ------------------------------------------------------------------
     # standard mode (Ethernet clients)
@@ -255,20 +245,17 @@ class Raid2Server:
         Ranges already sitting in the host's LRU file cache skip the
         array and the control port entirely (Section 3.2).
         """
-        with self.sim.tracer.span("server.ethernet_read", self.name,
-                                  nbytes=nbytes, path=path) as span:
-            yield from self.host.handle_io()
-            cached = self.host_cache.get((path, offset, nbytes))
-            if cached is not None:
-                span.set(cache="hit")
-                yield from self.ethernet.send(len(cached))
-                return cached
-            data = yield from self.fs.read(path, offset, nbytes)
-            yield self.sim.fork([self.board.to_host(len(data)),
-                                 self.host.dma_in(len(data))])
-            self.host_cache.put((path, offset, nbytes), data)
-            yield from self.ethernet.send(len(data))
-            return data
+        yield from self.host.handle_io()
+        cached = self.host_cache.get((path, offset, nbytes))
+        if cached is not None:
+            yield from self.ethernet.send(len(cached))
+            return cached
+        data = yield from self.fs.read(path, offset, nbytes)
+        yield self.sim.fork([self.board.to_host(len(data)),
+                             self.host.dma_in(len(data))])
+        self.host_cache.put((path, offset, nbytes), data)
+        yield from self.ethernet.send(len(data))
+        return data
 
     def ethernet_write(self, path: str, offset: int, data: bytes):
         """Process: an NFS-style write over the Ethernet.
@@ -277,15 +264,13 @@ class Raid2Server:
         is dropped ("the file system keeps the two caches consistent",
         Section 3.2).
         """
-        with self.sim.tracer.span("server.ethernet_write", self.name,
-                                  nbytes=len(data), path=path):
-            yield from self.host.handle_io()
-            yield from self.ethernet.send(len(data))
-            yield self.sim.fork([self.host.dma_out(len(data)),
-                                 self.board.from_host(len(data))])
-            self.host_cache.invalidate_where(lambda key: key[0] == path)
-            yield from self.fs.write(path, offset, data)
-            return None
+        yield from self.host.handle_io()
+        yield from self.ethernet.send(len(data))
+        yield self.sim.fork([self.host.dma_out(len(data)),
+                             self.board.from_host(len(data))])
+        self.host_cache.invalidate_where(lambda key: key[0] == path)
+        yield from self.fs.write(path, offset, data)
+        return None
 
 
 def make_sparcstation_client(sim: Simulator,

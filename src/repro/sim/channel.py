@@ -10,6 +10,8 @@ real buses behaved.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
 from repro.sim.resources import Resource
@@ -30,7 +32,7 @@ class BandwidthChannel:
 
     __slots__ = ("sim", "rate_mb_s", "per_transfer_overhead", "name",
                  "_lock", "_rate_bytes", "bytes_moved", "busy_time",
-                 "transfer_count")
+                 "span")
 
     def __init__(self, sim: Simulator, rate_mb_s: float,
                  per_transfer_overhead: float = 0.0, name: str = ""):
@@ -46,7 +48,10 @@ class BandwidthChannel:
         self._lock = Resource(sim, capacity=1, name=f"{name}.lock")
         self.bytes_moved = 0
         self.busy_time = 0.0
-        self.transfer_count = 0
+        #: Name of the span a traced transfer records (see
+        #: repro.obs.spans), set by owners whose transfers are a
+        #: data-path leg of their own; ``None`` records none.
+        self.span: Optional[str] = None
 
     def transfer_time(self, nbytes: int) -> float:
         """Service time for a transfer of ``nbytes`` (excluding queueing)."""
@@ -66,7 +71,6 @@ class BandwidthChannel:
             yield self.sim.timeout(duration)
             self.bytes_moved += nbytes
             self.busy_time += duration
-            self.transfer_count += 1
         finally:
             self._lock.release()
 

@@ -291,10 +291,10 @@ class Simulator:
         self._seq = count()
         self._crashed: Optional[BaseException] = None
         # Observability (DESIGN.md §8): tracer defaults to the shared
-        # NULL_TRACER unless an observe() session is active; swapping
-        # in a live repro.obs.Tracer at any time enables span capture
-        # for processes spawned from then on.  Both observe and never
-        # schedule — neither may consume sequence numbers.
+        # NULL_TRACER unless an observe(trace=True) session is active,
+        # which also installs the data path's span sites.  Both
+        # observe and never schedule — neither may consume sequence
+        # numbers.
         self.tracer, self.metrics = observe_simulator(self)
 
     # -- factories --------------------------------------------------------

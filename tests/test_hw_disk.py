@@ -1,5 +1,8 @@
 """Unit tests for the disk drive model."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.errors import DiskFailedError, HardwareError
@@ -225,3 +228,43 @@ def test_poke_peek_do_not_advance_clock(sim, disk):
     disk.poke(5, b"\x01" * SECTOR_SIZE)
     assert disk.peek(5, 1) == b"\x01" * SECTOR_SIZE
     assert sim.now == 0.0
+
+
+def test_snapshot_copies_written_extents_only(sim, disk):
+    # One written 4 KiB block on a 320 MB drive: the snapshot copies
+    # about that block, not the capacity.
+    disk.poke(8000, b"\x5a" * (4 * KIB))
+    tracemalloc.start()
+    try:
+        state = disk.snapshot()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * KIB
+
+    fresh = DiskDrive(Simulator(), IBM_0661, name="d0")
+    fresh.poke(0, b"\x11" * SECTOR_SIZE)
+    fresh.restore(state)
+    assert fresh.peek(8000, 8) == b"\x5a" * (4 * KIB)
+    assert fresh.peek(0, 1) == bytes(SECTOR_SIZE)
+    # A restored drive snapshots what it was restored to.
+    again = DiskDrive(Simulator(), IBM_0661, name="d0")
+    again.restore(fresh.snapshot())
+    assert again.peek(8000, 8) == b"\x5a" * (4 * KIB)
+
+
+def test_new_drive_reads_zeros_after_old_drive_is_collected(sim):
+    # A collected drive's store is zeroed and reused by the next drive
+    # of its capacity (this one ends in a partial 4 KiB block).
+    last_lba = SEAGATE_WREN_IV.capacity_bytes // SECTOR_SIZE - 1
+    old = DiskDrive(sim, SEAGATE_WREN_IV, name="old")
+    old.poke(0, b"\x77" * (64 * KIB))
+    old.poke(last_lba, b"\x77" * SECTOR_SIZE)
+    state = old.snapshot()
+    del old
+    gc.collect()
+    new = DiskDrive(sim, SEAGATE_WREN_IV, name="new")
+    assert new.peek(0, 128) == bytes(64 * KIB)
+    assert new.peek(last_lba, 1) == bytes(SECTOR_SIZE)
+    new.restore(state)
+    assert new.peek(last_lba, 1) == b"\x77" * SECTOR_SIZE

@@ -80,15 +80,14 @@ def test_memory_aggregate_rate(sim):
     assert elapsed == pytest.approx(0.01, rel=0.01)
 
 
-def test_memory_bank_accounting_spreads_bytes(sim):
+def test_memory_access_moves_bytes_on_bank_channel(sim):
     memory = XbusMemory(sim)
 
     def body():
         yield from memory.access(400)
 
     sim.run_process(body())
-    assert sum(memory.bank_bytes_moved) == 400
-    assert max(memory.bank_bytes_moved) == 100
+    assert memory.channel.bytes_moved == 400
 
 
 def test_memory_capacity(sim):

@@ -239,3 +239,29 @@ def test_usage_rebuild_matches_accounting():
     fs2 = remount(sim, device)
     rebuilt = [entry.live_bytes for entry in fs2.usage]
     assert rebuilt == incremental
+
+
+def test_clean_remount_keeps_checkpoint_usage():
+    """A mount that rolls nothing forward takes the checkpoint's usage
+    table: cleaned segments, whose stale summaries remain on disk, stay
+    clean instead of reviving as dirty."""
+    sim, device, fs = make_fs(capacity=4 * MIB)
+    rng = random.Random(3)
+    for index in range(6):
+        sim.run_process(fs.create(f"/f{index}"))
+    cleaned = 0
+    for n in range(1, 61):
+        path = f"/f{rng.randrange(6)}"
+        sim.run_process(fs.write(path, rng.randrange(8) * 16 * KIB,
+                                 pattern(48 * KIB, seed=n)))
+        if fs.free_segments() < 12:
+            cleaned += len(sim.run_process(fs.clean(3)))
+    assert cleaned
+    sim.run_process(fs.checkpoint())
+    usage = [(entry.state, entry.live_bytes) for entry in fs.usage]
+    free = fs.free_segments()
+    fs.crash()
+
+    fs2 = remount(sim, device)
+    assert fs2.free_segments() == free
+    assert [(entry.state, entry.live_bytes) for entry in fs2.usage] == usage
