@@ -121,90 +121,6 @@ def bench_channel_transfer(quick: bool = False) -> dict:
             "transfers_per_s": transfers / elapsed}
 
 
-def bench_tracing_overhead(quick: bool = False) -> dict:
-    """What disabled tracing costs the instrumented data path.
-
-    Two measurements compose into the figure of merit:
-
-    1. *Per-span cost*: the channel-transfer workload run twice on
-       fresh Simulators whose tracer is the disabled ``NULL_TRACER``
-       — once plain, once with every transfer wrapped in a
-       ``tracer.span(...)`` block exactly as the instrumented
-       hw/raid/lfs layers do.  The runs are interleaved in pairs (host
-       drift hits both sides equally) and each side keeps its minimum,
-       so the difference isolates the null-span machinery.  Bare
-       timeouts would be the wrong workload: a real span surrounds
-       several kernel events, and the cost only matters relative to
-       them.
-
-    2. *Span density of the real data path*: one Figure-5 measurement
-       through the full instrumented stack, traced once to count its
-       spans and timed untraced.  The real stack runs far more kernel
-       work per span than the microbenchmark loop does, and the gate
-       is about what *it* pays.
-
-    ``overhead_pct`` — per-span cost times real spans-per-wall-clock-
-    second — is the null tracer's tax on the shipped data path; the
-    regression gate keeps it under 5%.
-    """
-    total = _TRANSFERS[quick]
-    workers = 8
-    per_worker = total // workers
-
-    def run(instrumented: bool) -> float:
-        sim = Simulator()
-        channel = BandwidthChannel(sim, rate_mb_s=40.0, name="bench")
-        tracer = sim.tracer
-
-        def plain():
-            for _ in range(per_worker):
-                yield from channel.transfer(64 * KIB)
-
-        def spanned():
-            for _ in range(per_worker):
-                with tracer.span("bench.transfer", "bench",
-                                 nbytes=64 * KIB):
-                    yield from channel.transfer(64 * KIB)
-
-        body = spanned if instrumented else plain
-        for _ in range(workers):
-            sim.process(body())
-        start = perf_counter()
-        sim.run()
-        return perf_counter() - start
-
-    plain_s = spanned_s = None
-    for _ in range(_REPEATS + 2):
-        p, s = run(False), run(True)
-        plain_s = p if plain_s is None else min(plain_s, p)
-        spanned_s = s if spanned_s is None else min(spanned_s, s)
-    transfers = workers * per_worker
-    span_cost_s = max(0.0, (spanned_s - plain_s) / transfers)
-
-    from repro.experiments import fig5_hw_throughput as fig5
-    from repro.obs import observe
-
-    def measure():
-        return fig5._measure("read", 256 * KIB, 4, 101)
-
-    with observe(trace=True) as session:
-        measure()
-    nspans = len(session.spans())
-    real_s = min(_timed(measure) for _ in range(_REPEATS))
-    density = nspans / real_s  # spans per wall-clock second, untraced
-    return {"transfers": transfers, "seconds": spanned_s,
-            "plain_seconds": plain_s,
-            "overhead_pct": span_cost_s * density * 100.0,
-            "span_cost_ns": span_cost_s * 1e9,
-            "spans_per_s": density}
-
-
-def _timed(fn) -> float:
-    start = perf_counter()
-    fn()
-    return perf_counter() - start
-
-
 def bench_parity_throughput(quick: bool = False) -> dict:
     """XOR megabytes per wall-clock second over a paper-shaped stripe.
 
@@ -250,9 +166,6 @@ def run_suite(quick: bool = False, experiments: bool = True) -> dict:
         "timeout_churn": _best_of(lambda: bench_timeout_churn(quick)),
         "channel_transfer": _best_of(lambda: bench_channel_transfer(quick)),
         "parity_throughput": _best_of(lambda: bench_parity_throughput(quick)),
-        # Repeats and pairs its own runs internally (the figure of
-        # merit is a ratio), so no _best_of wrapper.
-        "tracing_overhead": bench_tracing_overhead(quick),
     }
     if experiments:
         results["fig5_quick_wallclock"] = _best_of(
@@ -271,13 +184,9 @@ def test_kernel_microbenchmarks(capsys):
     with capsys.disabled():
         print()
         for name, result in results.items():
-            rate_key = next((k for k in result if k.endswith("_per_s")
-                             or k.endswith("_pct")), None)
+            rate_key = next(k for k in result if k.endswith("_per_s"))
             print(f"  {name:<18} : {result[rate_key]:12.2f} {rate_key}")
     assert results["event_dispatch"]["events_per_s"] > 0
     assert results["timeout_churn"]["timeouts_per_s"] > 0
     assert results["channel_transfer"]["transfers_per_s"] > 0
     assert results["parity_throughput"]["mb_per_s"] > 0
-    # The observability acceptance gate: disabled tracing must cost
-    # the instrumented data path less than 5% wall-clock.
-    assert results["tracing_overhead"]["overhead_pct"] < 5.0

@@ -103,9 +103,14 @@ def main(argv: list[str]) -> int:
             print(f"unknown experiment {name!r}; try 'list'",
                   file=sys.stderr)
             return 2
-        with observe(trace=trace_path is not None) as session:
+        if trace_path is None and not want_metrics:
+            # A session keeps every component its runs built alive, so
+            # open one only when its spans or metrics are printed.
             result = runner(quick=quick)
-        result.metrics = session.metrics_snapshot()
+        else:
+            with observe(trace=trace_path is not None) as session:
+                result = runner(quick=quick)
+            result.metrics = session.metrics_snapshot()
         print(result.render())
         if trace_path is not None:
             with open(trace_path, "w", encoding="utf-8") as handle:

@@ -20,8 +20,9 @@ attribute and calls the same hooks, so it is attached like a disk.
 
 The injector never schedules simulation events itself — consult-and-
 return keeps an armed plan deterministic and an empty plan invisible.
-Fault activity is exported through the simulator's metrics registry
-under the ``faults`` component.
+Fault activity is counted in the injector's plain attributes
+(``disk_deaths``, ``transient_errors``...), which the simulator's
+metrics registry lists under the ``faults`` component.
 """
 
 from __future__ import annotations
@@ -81,16 +82,16 @@ class FaultInjector:
         #: dropped stack's media alive until the cyclic collector runs.
         self._stores: weakref.WeakSet = weakref.WeakSet()
 
-        metrics = sim.metrics
-        self.m_disk_deaths = metrics.counter(component, "disk_deaths")
-        self.m_transient_errors = metrics.counter(component,
-                                                  "transient_errors")
-        self.m_latent_sectors = metrics.counter(component,
-                                                "latent_sector_errors")
-        self.m_link_stalls = metrics.counter(component, "link_stalls")
-        self.m_stall_seconds = metrics.counter(component, "stall_seconds",
-                                               unit="s")
-        self.m_host_crashes = metrics.counter(component, "host_crashes")
+        self.disk_deaths = 0
+        self.transient_errors = 0
+        self.latent_sector_errors = 0
+        self.link_stalls = 0
+        self.stall_seconds = 0.0
+        self.host_crashes = 0
+        sim.metrics.expose(component, self, {
+            "disk_deaths": "", "transient_errors": "",
+            "latent_sector_errors": "", "link_stalls": "",
+            "stall_seconds": "s", "host_crashes": ""})
 
     # ------------------------------------------------------------------
     # attachment
@@ -125,20 +126,20 @@ class FaultInjector:
         if death is not None and now >= death.at_s:
             del self._deaths[name]
             disk.fail()
-            self.m_disk_deaths.inc()
+            self.disk_deaths += 1
         pending = self._latents.get(name)
         if pending:
             due = [event for event in pending if now >= event.at_s]
             for event in due:
                 pending.remove(event)
                 disk.mark_bad(event.lba, event.nsectors)
-                self.m_latent_sectors.inc()
+                self.latent_sector_errors += 1
         transients = self._transients.get(name)
         if transients:
             for state in transients:
                 if state.remaining > 0 and now >= state.event.at_s:
                     state.remaining -= 1
-                    self.m_transient_errors.inc()
+                    self.transient_errors += 1
                     raise TransientDiskError(name, kind)
 
     def stall_delay(self, link_name: str) -> float:
@@ -152,8 +153,8 @@ class FaultInjector:
             if event.at_s <= now < event.at_s + event.duration_s:
                 delay = max(delay, event.at_s + event.duration_s - now)
         if delay > 0.0:
-            self.m_link_stalls.inc()
-            self.m_stall_seconds.inc(delay)
+            self.link_stalls += 1
+            self.stall_seconds += delay
         return delay
 
     def on_landing(self, store, address: int, data) -> None:
@@ -181,7 +182,7 @@ class FaultInjector:
         # Shadow the per-operation hook, so an uncrashed host pays
         # nothing for the host-down check.
         self.on_disk_op = self._host_down
-        self.m_host_crashes.inc()
+        self.host_crashes += 1
         nbytes = len(data)
         torn = int(nbytes * event.torn_fraction)
         torn = min(max(torn - torn % SECTOR_SIZE, 0), nbytes)

@@ -93,6 +93,7 @@ class UpdateInPlaceFS:
         self._free_hint = 0
         self.data_writes = 0
         self.data_reads = 0
+        sim.metrics.expose(name, self, {"data_writes": "", "data_reads": ""})
 
     # ------------------------------------------------------------------
     def format(self):

@@ -36,6 +36,8 @@ class Workstation:
             sim, rate_mb_s=spec.backplane_rate_mb_s, name=f"{name}.vme")
         self.cpu_busy_time = 0.0
         self.ios_handled = 0
+        sim.metrics.expose(name, self, {"cpu_busy_time": "s",
+                                        "ios_handled": ""})
 
     # ------------------------------------------------------------------
     def cpu_work(self, seconds: float):

@@ -29,7 +29,6 @@ from repro.hw.disk import DiskDrive
 from repro.hw.specs import (COUGAR_SPEC, SCSI_STRING_SPEC, CougarSpec,
                             ScsiStringSpec)
 from repro.hw.scsi import ScsiString
-from repro.obs.metrics import counter_view
 from repro.sim import BandwidthChannel, Simulator
 from repro.units import SECTOR_SIZE
 
@@ -42,8 +41,6 @@ class CougarController:
     #: the attribute stays for readers of the old counter (the
     #: benchmark's ``cougar.retries`` per-layer metric).
     retries = 0
-
-    contention_events = counter_view("_m_contention_events")
 
     def __init__(self, sim: Simulator, spec: CougarSpec = COUGAR_SPEC,
                  string_spec: ScsiStringSpec = SCSI_STRING_SPEC,
@@ -60,8 +57,8 @@ class CougarController:
             ScsiString(sim, string_spec, name=f"{name}.s{index}")
             for index in range(spec.strings)
         ]
-        self._m_contention_events = sim.metrics.counter(
-            name, "contention_events")
+        self.contention_events = 0
+        sim.metrics.expose(name, self, {"contention_events": ""})
         #: Operations currently in flight per string (indexed like
         #: ``strings``); used for the dual-string contention check.
         self._inflight = [0] * spec.strings
@@ -108,7 +105,7 @@ class CougarController:
             # performance when both strings are used" (Section 2.3):
             # a serial command-handling delay, charged before the
             # data legs so it extends the critical path.
-            self._m_contention_events.inc()
+            self.contention_events += 1
             yield sim.timeout(self.spec.dual_string_penalty_s)
         inflight[index] += 1
         try:
@@ -134,7 +131,7 @@ class CougarController:
         charged = int(nbytes * spec.rate_mb_s / spec.write_rate_mb_s)
         inflight = self._inflight
         if sum(inflight) > inflight[index]:
-            self._m_contention_events.inc()
+            self.contention_events += 1
             yield sim.timeout(self.spec.dual_string_penalty_s)
         inflight[index] += 1
         try:

@@ -135,6 +135,9 @@ class DiskDrive:
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
+        sim.metrics.expose(name, self, {
+            "reads": "", "writes": "", "bytes_read": "B",
+            "bytes_written": "B", "media_errors": ""})
 
     # ------------------------------------------------------------------
     # geometry

@@ -28,6 +28,7 @@ class Ethernet:
         self.channel = BandwidthChannel(
             sim, rate_mb_s=spec.rate_mb_s, name=f"{name}.wire")
         self.packets_sent = 0
+        sim.metrics.expose(name, self, {"packets_sent": ""})
 
     def packets_for(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.spec.mtu_bytes))

@@ -27,6 +27,7 @@ class HippiPort:
         #: Optional fault-injection hook (see repro.faults.inject).
         self.faults = None
         self.packets_sent = 0
+        sim.metrics.expose(name, self, {"packets_sent": ""})
 
     def send(self, nbytes: int, packets: int = 1):
         """Process: move ``nbytes`` through the port as ``packets`` packets.

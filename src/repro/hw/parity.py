@@ -67,6 +67,7 @@ class ParityEngine:
         self.port = BandwidthChannel(
             sim, rate_mb_s=spec.port_rate_mb_s, name=f"{name}.port")
         self.blocks_xored = 0
+        sim.metrics.expose(name, self, {"blocks_xored": ""})
 
     def compute(self, blocks: Sequence[bytes]):
         """Process: XOR ``blocks``; returns the parity block.

@@ -42,6 +42,7 @@ class VmePort:
         self.faults = None
         self.bytes_moved = 0
         self.busy_time = 0.0
+        sim.metrics.expose(name, self, {"bytes_moved": "B", "busy_time": "s"})
         self._read_bytes_per_s = spec.read_rate_mb_s * MB
         self._write_bytes_per_s = spec.write_rate_mb_s * MB
 

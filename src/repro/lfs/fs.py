@@ -112,6 +112,10 @@ class LogStructuredFS:
         self.bytes_written = 0
         self.segments_cleaned = 0
         self.readahead_hits = 0
+        sim.metrics.expose(name, self, {
+            "reads_served": "", "writes_served": "", "bytes_read": "B",
+            "bytes_written": "B", "segments_cleaned": "",
+            "readahead_hits": ""})
 
     # ==================================================================
     # lifecycle
@@ -146,7 +150,7 @@ class LogStructuredFS:
         self.usage = [SegmentUsage() for _ in range(nsegments)]
         self.writer = SegmentWriter(
             self.sim, self.device, first_segment_block, segment_blocks,
-            self.usage)
+            self.usage, name=f"{self.name}.log")
         self.checkpoint_seq = 0
         self.mounted = True
 
@@ -184,7 +188,8 @@ class LogStructuredFS:
         self.writer = SegmentWriter(
             self.sim, self.device, self.sb.first_segment_block,
             self.sb.segment_blocks, self.usage,
-            next_fragment_seq=checkpoint.next_fragment_seq)
+            next_fragment_seq=checkpoint.next_fragment_seq,
+            name=f"{self.name}.log")
         self.mounted = True
 
         head = recovery.roll_forward(self, checkpoint)

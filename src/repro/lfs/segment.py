@@ -21,7 +21,7 @@ so a long stream of appends produces full-segment sequential writes.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import NoSpaceFsError
 from repro.lfs.ondisk import (BLOCK_SIZE, MAX_FRAGMENT_PAYLOAD, BlockId,
@@ -38,15 +38,14 @@ class SegmentWriter:
     RESERVED_SEGMENTS = 2
 
     def __init__(self, sim, device, first_segment_block: int,
-                 segment_blocks: int, usage, next_fragment_seq: int = 1,
-                 on_segment_start: Optional[Callable[[int], None]] = None):
+                 segment_blocks: int, usage, name: str,
+                 next_fragment_seq: int = 1):
         self.sim = sim
         self.device = device
         self.first_segment_block = first_segment_block
         self.segment_blocks = segment_blocks
         self.usage = usage  # list[SegmentUsage], shared with the FS
         self.next_fragment_seq = next_fragment_seq
-        self.on_segment_start = on_segment_start
         #: Set by the cleaner while it runs: grants access to the
         #: reserved segments.
         self.cleaning = False
@@ -64,6 +63,9 @@ class SegmentWriter:
         self.fragments_flushed = 0
         self.blocks_appended = 0
         self.bytes_flushed = 0
+        sim.metrics.expose(name, self, {
+            "segments_started": "", "fragments_flushed": "",
+            "blocks_appended": "", "bytes_flushed": "B"})
 
     # ------------------------------------------------------------------
     # position helpers
@@ -115,8 +117,6 @@ class SegmentWriter:
         entry.state = SegmentState.CURRENT
         entry.live_bytes = 0
         self.segments_started += 1
-        if self.on_segment_start is not None:
-            self.on_segment_start(segment)
         return segment
 
     def append(self, block_id: BlockId, payload: bytes):

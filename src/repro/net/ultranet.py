@@ -28,6 +28,7 @@ class UltranetLink:
         self.channel = BandwidthChannel(sim, rate_mb_s=rate_mb_s,
                                         name=f"{name}.ring")
         self.rpcs = 0
+        sim.metrics.expose(name, self, {"rpcs": ""})
 
     def rpc(self):
         """Process: one control round trip (request + reply)."""

@@ -14,9 +14,8 @@ Three views of the same recorded spans:
   the column sums exceed elapsed sim-time by design — the table shows
   where *span-time* goes, exactly the Table 1 accounting.
 
-Plus :func:`render_utilization_report`, which walks a component tree
-(e.g. a :class:`Raid2Server`) and tabulates busy-time utilization and
-queue depth for every channel, port and monitor it finds.
+Plus :func:`render_metrics_snapshot`, a registry or session snapshot
+as a text table: every component's counters, busy times included.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from repro.obs.trace import Span
 from repro.units import MB
 
 __all__ = ["chrome_trace_events", "chrome_trace_json", "render_flamegraph",
-           "render_layer_breakdown", "render_metrics_snapshot",
-           "render_utilization_report", "collect_busy_components"]
+           "render_layer_breakdown", "render_metrics_snapshot"]
 
 #: Seconds of sim-time -> trace_event microseconds (a time-unit
 #: conversion, not a byte count).
@@ -210,88 +208,20 @@ def render_metrics_snapshot(snapshot: dict) -> str:
     """A merged-session or single-registry snapshot as a text table."""
     lines = ["metrics"]
 
-    def emit(prefix: str, component: str, instruments: dict) -> None:
-        for name, data in instruments.items():
-            kind = data.get("kind", "?")
-            if kind == "histogram":
-                detail = (f"count={data['count']} total={data['total']:.6f} "
-                          f"min={data['min']} max={data['max']}")
-            elif kind == "gauge":
-                detail = f"value={data['value']:g} max={data['max']:g}"
-            else:
-                detail = f"value={data['value']:g}"
-            unit = data.get("unit") or ""
+    def emit(prefix: str, component: str, fields: dict) -> None:
+        for name, data in fields.items():
+            value = data["value"]
+            text = f"{value:g}" if isinstance(value, float) else str(value)
             label = f"{prefix}{component}/{name}"
-            lines.append(f"  {label:<44} {kind:<9} {detail}"
-                         + (f" {unit}" if unit else ""))
+            lines.append(f"  {label:<44} {text} {data['unit']}".rstrip())
 
     # A session snapshot nests {"runN": {component: {...}}}; a bare
-    # registry snapshot is {component: {name: {...}}} directly.
+    # registry snapshot is {component: {field: {...}}} directly.
     for key in sorted(snapshot):
         value = snapshot[key]
-        if value and all(isinstance(v, dict) and "kind" in v
-                         for v in value.values()):
+        if value and all("value" in v for v in value.values()):
             emit("", key, value)
         else:
             for component in sorted(value):
                 emit(f"{key}:", component, value[component])
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# component utilization / queue-depth report
-# ---------------------------------------------------------------------------
-
-def collect_busy_components(root, max_depth: int = 8) -> list:
-    """Walk ``root``'s attribute tree for busy-time-bearing components.
-
-    Anything with both ``name`` and ``busy_time`` counts (bandwidth
-    channels, VME ports, busy monitors).  The walk follows instance
-    attributes and list/tuple elements, skips back-references to the
-    simulator, and is cycle-safe.
-    """
-    found: dict[int, object] = {}
-    seen: set[int] = set()
-
-    def visit(obj, depth: int) -> None:
-        if depth > max_depth or id(obj) in seen:
-            return
-        seen.add(id(obj))
-        if isinstance(obj, (list, tuple)):
-            for item in obj:
-                visit(item, depth + 1)
-            return
-        module = getattr(type(obj), "__module__", "")
-        if not module.startswith("repro"):
-            return
-        if hasattr(obj, "busy_time") and hasattr(obj, "name"):
-            found.setdefault(id(obj), obj)
-        slots = []
-        for klass in type(obj).__mro__:
-            slots.extend(getattr(klass, "__slots__", ()))
-        names = list(getattr(obj, "__dict__", {})) + slots
-        for attr in names:
-            if attr in ("sim", "_heap"):
-                continue
-            value = getattr(obj, attr, None)
-            if value is not None and not isinstance(
-                    value, (str, bytes, bytearray, memoryview, int, float,
-                            bool, dict, set)):
-                visit(value, depth + 1)
-
-    visit(root, 0)
-    return sorted(found.values(), key=lambda c: c.name)
-
-
-def render_utilization_report(root, elapsed: float) -> str:
-    """Utilization and queue depth for every component under ``root``."""
-    lines = [f"component utilization over {elapsed:.6f}s sim-time",
-             f"  {'component':<24} {'busy-s':>12} {'util':>7} {'queue':>6}"]
-    for component in collect_busy_components(root):
-        busy = component.busy_time
-        util = min(1.0, busy / elapsed) if elapsed > 0 else 0.0
-        queue = getattr(component, "queue_length", None)
-        queue_text = f"{queue:>6d}" if queue is not None else "     -"
-        lines.append(f"  {component.name:<24} {busy:>12.6f} "
-                     f"{util:>6.1%} {queue_text}")
     return "\n".join(lines)

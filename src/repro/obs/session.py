@@ -52,7 +52,7 @@ class ObsSession:
 
     def metrics_snapshot(self) -> dict:
         """Merged snapshot: ``{"run<N>": registry_snapshot}`` for every
-        simulator that registered at least one instrument."""
+        simulator that exposed at least one counter."""
         out: dict[str, dict] = {}
         for index, registry in enumerate(self.registries):
             if len(registry):
@@ -78,11 +78,15 @@ def observe(trace: bool = False) -> Iterator[ObsSession]:
 
 
 def observe_simulator(sim) -> tuple:
-    """Called by ``Simulator.__init__``: (tracer, metrics) for ``sim``."""
-    registry = MetricsRegistry()
+    """Called by ``Simulator.__init__``: (tracer, metrics) for ``sim``.
+
+    A session's registry keeps its components alive, so the session
+    can snapshot them after the simulator's owner has dropped them.
+    """
     session = _ACTIVE
     if session is None:
-        return NULL_TRACER, registry
+        return NULL_TRACER, MetricsRegistry()
+    registry = MetricsRegistry(retain=True)
     session.registries.append(registry)
     if not session.trace:
         return NULL_TRACER, registry

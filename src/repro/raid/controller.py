@@ -52,7 +52,6 @@ import numpy as np
 from repro.errors import (DiskFailedError, MediumError, RaidError,
                           TransientDiskError, UnrecoverableArrayError)
 from repro.hw.parity import xor_blocks
-from repro.obs.metrics import counter_view
 from repro.raid.layout import (Piece, Raid0Layout, Raid1Layout, Raid3Layout,
                                Raid5Layout, _StripedLayout)
 from repro.sim import Resource, Simulator
@@ -80,11 +79,6 @@ class _BaseController:
     #: Rows one rebuild step reconstructs under one hold of its lock.
     _rebuild_chunk_rows = 1
 
-    degraded_reads = counter_view("_m_degraded_reads")
-    degraded_writes = counter_view("_m_degraded_writes")
-    media_error_heals = counter_view("_m_media_error_heals")
-    transient_retries = counter_view("_m_transient_retries")
-
     def __init__(self, sim: Simulator, paths: Sequence, layout: _StripedLayout,
                  name: str = "raid"):
         if len(paths) != layout.num_disks:
@@ -99,14 +93,15 @@ class _BaseController:
         #: blank, not failed: rows at or past its frontier are treated
         #: as unavailable and served through redundancy instead.
         self._rebuild_frontier: dict[int, int] = {}
-        metrics = sim.metrics
-        self._m_degraded_reads = metrics.counter(name, "degraded_reads")
-        self._m_degraded_writes = metrics.counter(name, "degraded_writes")
-        self._m_media_error_heals = metrics.counter(name,
-                                                    "media_error_heals")
-        self._m_transient_retries = metrics.counter(name,
-                                                    "transient_retries")
-        self._m_rebuilt_rows = metrics.counter(name, "rebuilt_rows")
+        self.degraded_reads = 0
+        self.degraded_writes = 0
+        self.media_error_heals = 0
+        self.transient_retries = 0
+        self.rebuilt_rows = 0
+        sim.metrics.expose(name, self, {
+            "degraded_reads": "", "degraded_writes": "",
+            "media_error_heals": "", "transient_retries": "",
+            "rebuilt_rows": ""})
 
     @property
     def capacity_bytes(self) -> int:
@@ -209,7 +204,7 @@ class _BaseController:
                 result = yield from io(*args)
                 return result
             except TransientDiskError:
-                self._m_transient_retries.inc()
+                self.transient_retries += 1
                 if attempt == RETRY_ATTEMPTS:
                     raise
             yield self.sim.timeout(backoff)
@@ -236,7 +231,7 @@ class _BaseController:
         except DiskFailedError:
             if not tolerate_failure:
                 raise
-            self._m_degraded_writes.inc()
+            self.degraded_writes += 1
         return None
 
     def _heal(self, disk: int, lba: int, data):
@@ -247,7 +242,7 @@ class _BaseController:
             return None
         try:
             yield from self.paths[disk].write(lba, data)
-            self._m_media_error_heals.inc()
+            self.media_error_heals += 1
         except (DiskFailedError, TransientDiskError):
             pass
         return None
@@ -285,7 +280,7 @@ class _BaseController:
                     disk_index, self.layout.row_lba(row), data,
                     tolerate_failure=False)
                 self._rebuild_frontier[disk_index] = row + nrows
-                self._m_rebuilt_rows.inc(nrows)
+                self.rebuilt_rows += nrows
             finally:
                 lock.release()
             row += nrows
@@ -378,7 +373,7 @@ class Raid1Controller(_BaseController):
                        heal: bool = False):
         """Process: serve a piece from the other copy; ``heal``
         rewrites the bad copy's extent after a medium error."""
-        self._m_degraded_reads.inc()
+        self.degraded_reads += 1
         other = self._layout1.mirror_of(bad_disk)
         if self.unavailable(other, piece.row):
             raise UnrecoverableArrayError(
@@ -424,10 +419,6 @@ class Raid1Controller(_BaseController):
 class Raid5Controller(_BaseController):
     """Left-symmetric RAID 5 over one parity group."""
 
-    full_stripe_writes = counter_view("_m_full_stripe_writes")
-    rmw_writes = counter_view("_m_rmw_writes")
-    reconstruct_writes = counter_view("_m_reconstruct_writes")
-
     def __init__(self, sim: Simulator, paths: Sequence,
                  stripe_unit_bytes: int, parity_computer=None,
                  name: str = "raid5"):
@@ -437,12 +428,12 @@ class Raid5Controller(_BaseController):
         self._layout5 = layout
         self.parity = parity_computer if parity_computer is not None \
             else InstantParity()
-        metrics = sim.metrics
-        self._m_full_stripe_writes = metrics.counter(name,
-                                                     "full_stripe_writes")
-        self._m_rmw_writes = metrics.counter(name, "rmw_writes")
-        self._m_reconstruct_writes = metrics.counter(name,
-                                                     "reconstruct_writes")
+        self.full_stripe_writes = 0
+        self.rmw_writes = 0
+        self.reconstruct_writes = 0
+        sim.metrics.expose(name, self, {"full_stripe_writes": "",
+                                        "rmw_writes": "",
+                                        "reconstruct_writes": ""})
 
     # ------------------------------------------------------------------
     def _row_disks(self, row: int) -> list[int]:
@@ -483,7 +474,7 @@ class Raid5Controller(_BaseController):
     # degraded read: XOR of every other unit in the row
     # ------------------------------------------------------------------
     def _degraded_read(self, piece: Piece):
-        self._m_degraded_reads.inc()
+        self.degraded_reads += 1
         data = yield from self._reconstruct_range(
             piece.row, piece.disk,
             piece.unit_offset // SECTOR_SIZE, piece.nsectors)
@@ -548,7 +539,7 @@ class Raid5Controller(_BaseController):
 
     def _full_stripe_write(self, row: int, pieces: list[Piece], offset: int,
                            data: memoryview):
-        self._m_full_stripe_writes.inc()
+        self.full_stripe_writes += 1
         layout = self._layout5
         # The pieces come from map_data, already in logical order.
         unit_payloads = [self._payload_of(piece, offset, data)
@@ -625,7 +616,7 @@ class Raid5Controller(_BaseController):
         written intra-unit ranges, computes ``new parity = old parity
         XOR old data XOR new data``, then writes new data and parity.
         """
-        self._m_rmw_writes.inc()
+        self.rmw_writes += 1
         layout = self._layout5
         parity_disk = layout.parity_disk(row)
         lo = min(piece.unit_offset for piece in pieces)
@@ -666,7 +657,7 @@ class Raid5Controller(_BaseController):
         Cheaper than RMW when the write covers more than half the row —
         the case for big requests that straddle a row boundary.
         """
-        self._m_reconstruct_writes.inc()
+        self.reconstruct_writes += 1
         layout = self._layout5
         unit = self.layout.stripe_unit_bytes
         parity_disk = layout.parity_disk(row)
@@ -742,7 +733,7 @@ class Raid5Controller(_BaseController):
         lba = self.layout.row_lba(row)
         nsectors = self.layout.unit_sectors
 
-        self._m_degraded_writes.inc()
+        self.degraded_writes += 1
         units: list[bytes] = []  # old images, kept to skip unchanged units
         for k in range(self.layout.data_units_per_row):
             disk = layout.data_disk(row, k)
@@ -838,7 +829,7 @@ class Raid3Controller(_BaseController):
                 return data
             except (DiskFailedError, MediumError):
                 pass
-        self._m_degraded_reads.inc()
+        self.degraded_reads += 1
         data = yield from self._reconstruct_rows(disk, first_row, nrows)
         return data
 

@@ -93,6 +93,9 @@ class Raid2Server:
         #: replacement policy" (Section 3.2).
         self.host_cache = LruBlockCache(capacity_bytes=16 * MIB,
                                         name=f"{name}.hostcache")
+        # The cache keeps no simulator, so the server lists its counts.
+        sim.metrics.expose(self.host_cache.name, self.host_cache,
+                           {"hits": "", "misses": "", "evictions": ""})
 
     # ------------------------------------------------------------------
     # convenience accessors (single-board configurations)

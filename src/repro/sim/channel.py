@@ -32,10 +32,10 @@ class BandwidthChannel:
 
     __slots__ = ("sim", "rate_mb_s", "per_transfer_overhead", "name",
                  "_lock", "_rate_bytes", "bytes_moved", "busy_time",
-                 "span")
+                 "span", "__weakref__")
 
     def __init__(self, sim: Simulator, rate_mb_s: float,
-                 per_transfer_overhead: float = 0.0, name: str = ""):
+                 per_transfer_overhead: float = 0.0, name: str = "channel"):
         if rate_mb_s <= 0:
             raise SimulationError(f"rate must be positive, got {rate_mb_s!r}")
         if per_transfer_overhead < 0:
@@ -52,6 +52,7 @@ class BandwidthChannel:
         #: repro.obs.spans), set by owners whose transfers are a
         #: data-path leg of their own; ``None`` records none.
         self.span: Optional[str] = None
+        sim.metrics.expose(name, self, {"bytes_moved": "B", "busy_time": "s"})
 
     def transfer_time(self, nbytes: int) -> float:
         """Service time for a transfer of ``nbytes`` (excluding queueing)."""
@@ -79,7 +80,3 @@ class BandwidthChannel:
         if elapsed <= 0:
             raise SimulationError("elapsed must be positive")
         return min(1.0, self.busy_time / elapsed)
-
-    @property
-    def queue_length(self) -> int:
-        return self._lock.queue_length

@@ -1,11 +1,9 @@
-"""Busy-time accounting for utilization reports.
+"""Busy-time accounting for utilization checks.
 
-:class:`BusyMonitor` is a thin shim over the per-simulator
-:class:`repro.obs.MetricsRegistry` (``sim.metrics``): the busy time it
-accumulates lives in a registry gauge and therefore appears in
-``--metrics`` snapshots automatically.  Anonymous monitors get
-deterministic registry components (``busy.1``, ``busy.2``...) so
-snapshots stay identical across identical runs.
+:class:`BusyMonitor` accumulates the time a component spends busy in
+its plain ``busy_time`` attribute, which it exposes to the
+per-simulator :class:`repro.obs.MetricsRegistry` (``sim.metrics``)
+under its name, so the busy time appears in ``--metrics`` snapshots.
 """
 
 from __future__ import annotations
@@ -21,19 +19,15 @@ UTILIZATION_TOLERANCE = 1e-9
 
 
 class BusyMonitor:
-    """Tracks how long a component spends busy, for utilization reports."""
+    """Tracks how long a component spends busy."""
 
-    def __init__(self, sim: Simulator, name: str = ""):
+    def __init__(self, sim: Simulator, name: str = "busy"):
         self.sim = sim
         self.name = name
-        component = name or sim.metrics.unique_component("busy")
-        self._gauge = sim.metrics.gauge(component, "busy_time", unit="s")
+        self.busy_time = 0.0
         self._busy_since: Optional[float] = None
         self._depth = 0
-
-    @property
-    def busy_time(self) -> float:
-        return self._gauge.value
+        sim.metrics.expose(name, self, {"busy_time": "s"})
 
     def enter(self) -> None:
         if self._depth == 0:
@@ -46,13 +40,13 @@ class BusyMonitor:
         self._depth -= 1
         if self._depth == 0:
             assert self._busy_since is not None
-            self._gauge.add(self.sim.now - self._busy_since)
+            self.busy_time += self.sim.now - self._busy_since
             self._busy_since = None
 
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
             raise SimulationError("elapsed must be positive")
-        busy = self._gauge.value
+        busy = self.busy_time
         if self._busy_since is not None:
             busy += self.sim.now - self._busy_since
         raw = busy / elapsed

@@ -37,6 +37,7 @@ class MemoryDevice:
         self.faults = None
         self.reads = 0
         self.writes = 0
+        sim.metrics.expose(name, self, {"reads": "", "writes": ""})
 
     def _check(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:

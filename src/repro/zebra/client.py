@@ -58,6 +58,8 @@ class ZebraClient:
         self._sizes: dict[str, int] = {}
         self.stripes_flushed = 0
         self.fragments_rebuilt = 0
+        sim.metrics.expose(name, self, {"stripes_flushed": "",
+                                        "fragments_rebuilt": ""})
 
     # ------------------------------------------------------------------
     # placement

@@ -40,6 +40,8 @@ class ZebraStorageServer:
         self.failed = False
         self.fragments_stored = 0
         self.fragments_served = 0
+        sim.metrics.expose(name, self, {"fragments_stored": "",
+                                        "fragments_served": ""})
 
     @property
     def capacity_bytes(self) -> int:

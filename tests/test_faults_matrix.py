@@ -89,7 +89,7 @@ def test_disk_death_mid_stream_then_rebuild(level):
     sim.run_process(reader())
     assert paths[0].disk.failed
     assert ctrl.degraded_reads > 0
-    assert inj.m_disk_deaths.value == 1
+    assert inj.disk_deaths == 1
 
     paths[0].disk.repair()
     rows = _scrub_rows(ctrl)
@@ -113,7 +113,7 @@ def test_transient_burst_is_invisible(level):
     assert sim.run_process(ctrl.read(0, SIZE)) == base
     assert sim.run_process(ctrl.read(0, SIZE)) == base
     assert ctrl.transient_retries == 3
-    assert inj.m_transient_errors.value == 3
+    assert inj.transient_errors == 3
     assert ctrl.degraded_reads == 0
     assert_parity_clean(ctrl, max_rows=_scrub_rows(ctrl))
 

@@ -57,7 +57,7 @@ def test_disk_death_via_plan_degrades_but_serves_all_bytes():
     sim.run_process(reader())
     assert paths[2].disk.failed
     assert ctrl.degraded_reads > 0
-    assert inj.m_disk_deaths.value == 1
+    assert inj.disk_deaths == 1
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_transient_faults_heal_with_no_user_visible_failure():
     data = sim.run_process(ctrl.read(0, 40 * UNIT))
     assert data == base
     assert ctrl.transient_retries == 3
-    assert inj.m_transient_errors.value == 3
+    assert inj.transient_errors == 3
     # Retries healed in place: no reconstruction happened.
     assert ctrl.degraded_reads == 0
 
@@ -120,7 +120,7 @@ def test_latent_sector_error_is_healed_by_rewrite():
     data = sim.run_process(ctrl.read(0, UNIT))
     assert data == base[:UNIT]
     assert ctrl.media_error_heals == 1
-    assert inj.m_latent_sectors.value == 1
+    assert inj.latent_sector_errors == 1
     assert paths[victim].disk.media_errors == 1
     # The rewrite cleared the bad extent: the next read is clean.
     healed_reads = ctrl.degraded_reads
@@ -144,8 +144,8 @@ def test_link_stall_delays_scsi_transfer():
 
     sim.run_process(string.transfer(64 * KIB))
     assert sim.now >= 0.05
-    assert inj.m_link_stalls.value == 1
-    assert inj.m_stall_seconds.value >= 0.05
+    assert inj.link_stalls == 1
+    assert inj.stall_seconds >= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_host_crash_snapshot_restore_roundtrip():
         sim.run_process(workload())
     assert inj.crashed
     assert "disk write #3 on memdev" in str(caught.value)
-    assert inj.m_host_crashes.value == 1
+    assert inj.host_crashes == 1
 
     # Writes 1 and 2 landed whole; write 3 tore at the half-way sector.
     assert raw.peek(0, 64 * KIB) == payloads[0]
@@ -242,7 +242,7 @@ def test_server_survives_disk_death_and_rebuilds_clean():
     sim.run_process(reader())
     assert victim.failed
     assert raid.degraded_reads > 0
-    assert inj.m_disk_deaths.value == 1
+    assert inj.disk_deaths == 1
 
     victim.repair()
     row_bytes = raid.layout.data_units_per_row * raid.stripe_unit_bytes

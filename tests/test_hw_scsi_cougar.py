@@ -118,7 +118,7 @@ def test_dual_string_contention_counted(sim):
     sim.process(streamer(d_b))
     sim.run()
     assert cougar.contention_events > 0
-    # The count lives in the metrics registry; the attribute reads it.
+    # The count lives in the attribute; the metrics registry lists it.
     snapshot = sim.metrics.snapshot()[cougar.name]
     assert snapshot["contention_events"]["value"] == cougar.contention_events
 

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from repro.errors import CorruptFileSystemError, CrashPoint
+from repro.errors import (CorruptFileSystemError, CrashPoint,
+                          FileNotFoundFsError)
 from repro.faults import FaultInjector, FaultPlan, HostCrash, restore_media
 from repro.hw.specs import LFS_SPEC
 from repro.lfs import LogStructuredFS
@@ -202,6 +203,41 @@ def test_recovery_after_power_failure_at_any_point(nth_write, torn_fraction):
         for index in range(nchunks):
             got = sim.run_process(fs.read("/fresh", index * 8 * KIB, 8 * KIB))
             assert got == pattern(8 * KIB, seed=20 + index)
+
+
+@pytest.mark.xfail(strict=True, raises=FileNotFoundFsError, reason=(
+    "a mount resumes at the seq of the torn fragment it rejected, whose "
+    "summary stays on disk; the next mount's chain stops at the clash"))
+def test_second_crash_keeps_data_synced_after_a_torn_fragment():
+    sim, device, fs = make_fs(capacity=4 * MIB)
+    sim.run_process(fs.create("/a"))
+    offset = 0
+    segment = None
+    while segment != 1:
+        sim.run_process(fs.write("/a", offset, pattern(16 * KIB, offset)))
+        offset += 16 * KIB
+        # The open fragment, about to be flushed by the sync.
+        writer = fs.writer
+        segment, start, torn_seq = (writer.current_segment,
+                                    writer._fragment_start,
+                                    writer.next_fragment_seq)
+        sim.run_process(fs.sync())
+    # Tear the first fragment in segment 1: garbage over its first
+    # payload block fails the summary's checksum.
+    device.poke((writer.segment_base(1) + start + 1) * BLOCK_SIZE,
+                b"\xff" * BLOCK_SIZE)
+    fs.crash()
+
+    fs2 = remount(sim, device)
+    assert fs2.writer.next_fragment_seq == torn_seq
+    payload = pattern(40 * KIB, seed=7)
+    sim.run_process(fs2.create("/b"))
+    sim.run_process(fs2.write("/b", 0, payload))
+    sim.run_process(fs2.sync())
+    fs2.crash()
+
+    fs3 = remount(sim, device)
+    assert sim.run_process(fs3.read("/b", 0, len(payload))) == payload
 
 
 def test_torn_checkpoint_falls_back_to_older_region():

@@ -1,103 +1,74 @@
 """Tests for the component metrics registry and its snapshots."""
 
+import gc
 import json
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.obs import MetricsRegistry, observe, render_metrics_snapshot
+from repro.obs import observe, render_metrics_snapshot
 from repro.sim import Simulator
 from repro.units import KIB
 
 
-def test_counter_accumulates_and_rejects_negative():
-    registry = MetricsRegistry()
-    counter = registry.counter("disk0", "bytes_done", unit="B")
-    counter.inc(512)
-    counter.inc(512)
-    assert counter.value == 1024
-    with pytest.raises(SimulationError):
-        counter.inc(-1)
+class _Meter:
+    """A component with one plain counter."""
+
+    def __init__(self, sim, name):
+        self.count = 0
+        sim.metrics.expose(name, self, {"count": "B"})
 
 
-def test_gauge_tracks_maximum():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("xmem", "allocated", unit="B")
-    gauge.set(10)
-    gauge.add(5)
-    gauge.set(3)
-    assert gauge.value == 3
-    assert gauge.max_value == 15
-
-
-def test_histogram_buckets_and_mean():
-    registry = MetricsRegistry()
-    hist = registry.histogram("disk0", "latency", buckets=(0.01, 0.1, 1.0))
-    for sample in (0.005, 0.05, 0.5, 5.0):
-        hist.observe(sample)
-    snap = hist.snapshot()
-    assert snap["count"] == 4
-    assert snap["buckets"] == [0.01, 0.1, 1.0]
-    # One sample per bucket, one in the implicit overflow bucket.
-    assert snap["counts"] == [1, 1, 1, 1]
-    assert snap["min"] == 0.005 and snap["max"] == 5.0
-    assert hist.mean == pytest.approx((0.005 + 0.05 + 0.5 + 5.0) / 4)
-
-
-def test_get_or_create_returns_same_instrument():
-    registry = MetricsRegistry()
-    a = registry.counter("c0", "ops")
-    b = registry.counter("c0", "ops")
-    assert a is b
-    assert len(registry) == 1
-
-
-def test_kind_mismatch_raises():
-    registry = MetricsRegistry()
-    registry.counter("c0", "ops")
-    with pytest.raises(SimulationError):
-        registry.gauge("c0", "ops")
-
-
-def test_unique_component_names_are_deterministic():
-    registry = MetricsRegistry()
-    assert registry.unique_component("throughput") == "throughput.1"
-    assert registry.unique_component("throughput") == "throughput.2"
-    assert registry.unique_component("busy") == "busy.1"
+def test_sources_sharing_a_key_are_summed():
+    sim = Simulator()
+    a, b = _Meter(sim, "c0"), _Meter(sim, "c0")
+    a.count += 3
+    b.count += 4
+    assert len(sim.metrics) == 1
+    assert sim.metrics.snapshot() == {
+        "c0": {"count": {"value": 7, "unit": "B"}}}
 
 
 def test_simulator_carries_a_registry():
     sim = Simulator()
-    sim.metrics.counter("port", "bytes").inc(4 * KIB)
-    assert sim.metrics.snapshot()["port"]["bytes"]["value"] == 4 * KIB
+    meter = _Meter(sim, "port")
+    meter.count += 4 * KIB
+    # The snapshot reads the attribute when it is taken.
+    assert sim.metrics.snapshot()["port"]["count"]["value"] == 4 * KIB
+
+
+def test_registry_does_not_keep_a_component_alive():
+    sim = Simulator()
+    meter = _Meter(sim, "gone")
+    meter.count += 1
+    del meter
+    gc.collect()
+    assert sim.metrics.snapshot() == {
+        "gone": {"count": {"value": 0, "unit": "B"}}}
 
 
 def _run_workload():
-    """A small deterministic workload touching every instrument kind."""
+    """A small deterministic workload: a counter and a busy monitor."""
     from repro.sim import BusyMonitor
 
     sim = Simulator()
-    bytes_done = sim.metrics.counter("stream", "bytes_done", unit="B")
-    latency = sim.metrics.histogram("op", "latency")
+    stream = _Meter(sim, "stream")
     busy = BusyMonitor(sim, name="port")
 
     def body():
-        for index in range(5):
+        for _ in range(5):
             busy.enter()
             yield sim.timeout(0.25)
             busy.exit()
-            bytes_done.inc(64 * KIB)
-            latency.observe(0.25)
+            stream.count += 64 * KIB
             yield sim.timeout(0.05)
 
     sim.run_process(body())
-    return sim
+    return sim.metrics.snapshot()
 
 
 def test_snapshot_deterministic_across_identical_runs():
-    first = _run_workload().metrics.snapshot()
-    second = _run_workload().metrics.snapshot()
+    first = _run_workload()
+    second = _run_workload()
     assert first == second
+    assert first["port"]["busy_time"] == {"value": 1.25, "unit": "s"}
     # Byte-identical when serialized, key order included.
     assert json.dumps(first, sort_keys=False) == \
         json.dumps(second, sort_keys=False)
@@ -107,11 +78,14 @@ def test_session_collects_per_run_snapshots():
     with observe() as session:
         _run_workload()
         _run_workload()
+    # The session keeps each run's components alive for its snapshot.
+    gc.collect()
     snapshot = session.metrics_snapshot()
     assert sorted(snapshot) == ["run0", "run1"]
     assert snapshot["run0"] == snapshot["run1"]
+    assert snapshot["run0"]["stream"]["count"]["value"] == 5 * 64 * KIB
     rendered = render_metrics_snapshot(snapshot)
-    assert "stream" in rendered and "bytes_done" in rendered
+    assert "run0:stream/count" in rendered and "port/busy_time" in rendered
 
 
 def test_observe_without_trace_keeps_null_tracer():
@@ -120,3 +94,29 @@ def test_observe_without_trace_keeps_null_tracer():
     assert not sim.tracer.enabled
     assert session.spans() == []
     assert len(sim.metrics) == 0
+
+
+def test_every_hardware_layer_is_in_the_registry():
+    """Table 1's measurement lists each layer the paper blames for the
+    shortfall (Section 2.3), not only RAID, Cougar and disk counts."""
+    from repro.experiments import table1_peak_sequential as table1
+
+    with observe() as session:
+        table1.run(quick=True)
+    snapshot = session.metrics_snapshot()
+    components = {component for run in snapshot.values() for component in run}
+    board = "raid2.xbus0"
+    expected = {
+        f"{board}.c0.s0.bus", f"{board}.c0.s1.bus",  # SCSI strings
+        f"{board}.c0.bus", f"{board}.c4.bus",  # Cougar buses
+        f"{board}.vme0", f"{board}.vme3", f"{board}.link",  # VME ports
+        f"{board}.mem.banks",  # XBUS memory
+        f"{board}.hippis.port", f"{board}.hippid.port",  # HIPPI
+        f"{board}.xor.port",  # parity engine
+        f"{board}.d0.0.0.busy",  # a disk's busy time
+        "raid2.host.vme",  # host backplane
+    }
+    assert expected <= components, sorted(expected - components)
+    # The values are the layers' own: the strings really were busy.
+    assert all(run[f"{board}.c0.s0.bus"]["busy_time"]["value"] > 0
+               for run in snapshot.values())

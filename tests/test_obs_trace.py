@@ -12,9 +12,8 @@ import random
 import pytest
 
 from repro.net import UltranetLink
-from repro.obs import (NULL_TRACER, chrome_trace_json, collect_busy_components,
-                       observe, render_flamegraph, render_layer_breakdown,
-                       render_utilization_report)
+from repro.obs import (NULL_TRACER, chrome_trace_json, observe,
+                       render_flamegraph, render_layer_breakdown)
 from repro.server import Raid2Config, Raid2Server
 from repro.server.raid2 import make_sparcstation_client
 from repro.sim import Simulator
@@ -148,10 +147,6 @@ def test_text_reports_render(traced_story):
     breakdown = render_layer_breakdown(session)
     for layer in ("disk", "scsi", "cougar", "raid", "lfs", "server"):
         assert layer in breakdown
-    report = render_utilization_report(
-        collect_busy_components(traced_story["sim"]),
-        elapsed=traced_story["sim"].now)
-    assert "utilization" in report
 
 
 def test_null_tracer_records_nothing():
