@@ -16,7 +16,7 @@ import heapq
 
 import pytest
 
-from repro.units import KIB
+from repro.units import KIB, MIB
 
 
 def _traced(run):
@@ -73,8 +73,60 @@ def _lfs_vs_ffs():
     return ablations.run_lfs_vs_ffs(quick=True).scalars
 
 
+def _lfs_read_clean():
+    # Cold-mount reads through the single-indirect block (sequential,
+    # so read-ahead fills and drains the prefetch buffers), a rewrite
+    # that leaves dead blocks behind, and one cleaner pass on another
+    # cold mount: every resident-metadata lookup and every miss of the
+    # LFS request path and the cleaner.
+    import dataclasses
+    import random
+
+    from repro.experiments.ablations import NO_OVERHEAD_SPEC, _make_raid5
+    from repro.lfs import LogStructuredFS
+    from repro.sim import Simulator
+
+    spec = dataclasses.replace(NO_OVERHEAD_SPEC, segment_bytes=128 * KIB,
+                               readahead_blocks=8)
+    sim = Simulator()
+    _paths, raid = _make_raid5(sim, ndisks=5, disk_bytes=4 * MIB)
+    rng = random.Random(31)
+    content = bytearray(rng.randbytes(256 * KIB))
+
+    def mounted():
+        fs = LogStructuredFS(sim, raid, spec=spec, max_inodes=64)
+        sim.run_process(fs.mount())
+        return fs
+
+    fs = LogStructuredFS(sim, raid, spec=spec, max_inodes=64)
+    sim.run_process(fs.format())
+    sim.run_process(fs.create("/f"))
+    sim.run_process(fs.write("/f", 0, bytes(content)))
+    sim.run_process(fs.unmount())
+
+    fs = mounted()
+    reads = [sim.run_process(fs.read("/f", 64 * KIB + index * 16 * KIB,
+                                     16 * KIB))
+             for index in range(8)]
+    reads.append(sim.run_process(fs.read("/f", 200 * KIB + 100, 5000)))
+    hits = fs.readahead_hits
+    patch = rng.randbytes(96 * KIB)
+    content[40 * KIB:136 * KIB] = patch
+    sim.run_process(fs.write("/f", 40 * KIB, patch))
+    sim.run_process(fs.unmount())
+
+    fs = mounted()
+    victims = sim.run_process(fs.clean(max_segments=1))
+    whole = sim.run_process(fs.read("/f", 0, len(content)))
+    assert whole == content
+    return (sim.now, victims, hits,
+            hashlib.sha256(b"".join(reads)).hexdigest()[:16])
+
+
 #: Fingerprints recorded before the dispatch loop was collapsed into
-#: one (the FFS entry before the allocator kept a low-water mark):
+#: one (the FFS entry before the allocator kept a low-water mark; the
+#: LFS read-and-clean entry before resident metadata stopped being
+#: resolved through generators):
 #: (workload, first 16 hex digits of sha256(repr((result, trace))),
 #: heap pushes).  A kernel change that reorders, adds or drops a single
 #: scheduling action, or moves a result by one ULP, changes the digest.
@@ -83,6 +135,7 @@ GOLDEN = [
     (_fig5_write, "edae6338a4ffee94", 1254),
     (_table2_raid2, "0bdb5caade322875", 632),
     (_lfs_vs_ffs, "228f035d153a6b4a", 5551),
+    (_lfs_read_clean, "6535ca6e45eaaaa0", 1019),
 ]
 
 
