@@ -69,7 +69,7 @@ def split_path(path: str) -> list[str]:
     """Split an absolute path into components, validating each."""
     if not path.startswith("/"):
         raise FileSystemError(f"path must be absolute: {path!r}")
-    components = [part for part in path.split("/") if part]
+    components = list(filter(None, path.split("/")))
     for part in components:
         validate_name(part)
     return components

@@ -14,27 +14,34 @@ Mount applies, in order:
    updates; the chain stops at the first gap or invalid summary, which
    is exactly the crash point,
 3. **usage rebuild**, when roll-forward applied any fragment: segment
-   liveness is recomputed by scanning summaries and testing each
-   block's identity against the recovered maps (our prototype favours
-   a provably correct rebuild over Sprite's incremental bookkeeping;
-   volumes here are simulator-sized).  A clean mount keeps the
-   checkpoint's usage table, which is exact: a rebuild would count a
-   cleaned segment, whose stale summaries remain, as dirty.
+   liveness is recomputed from the summaries roll-forward already
+   scanned, testing each block's identity against the recovered maps
+   (our prototype favours a provably correct rebuild over Sprite's
+   incremental bookkeeping; volumes here are simulator-sized).  A
+   clean mount keeps the checkpoint's usage table, which is exact: a
+   rebuild would count a cleaned segment, whose stale summaries
+   remain, as dirty.
+
+A mount peeks each segment's summaries once (:func:`scan_log`), and
+the rebuild decodes each inode and pointer block once, whatever the
+number of summary entries that ask about it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import CorruptFileSystemError
-from repro.lfs.imap import PENDING
-from repro.lfs.ondisk import (BLOCK_SIZE, NULL_ADDR, BlockId, BlockKind,
-                              Checkpoint, FragmentSummary, Inode,
-                              SegmentState, decode_pointer_block,
-                              payload_checksum)
 from repro.lfs.fs_types import LogHead
+from repro.lfs.imap import PENDING
+from repro.lfs.ondisk import (ADDRS_PER_BLOCK, BLOCK_SIZE, N_DIRECT,
+                              NULL_ADDR, BlockId, BlockKind, Checkpoint,
+                              FragmentSummary, Inode, SegmentState,
+                              decode_pointer_block, payload_checksum)
 
-__all__ = ["LogHead", "roll_forward", "rebuild_usage", "scan_segment"]
+__all__ = ["LogHead", "roll_forward", "rebuild_usage", "scan_log",
+           "scan_segment"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,11 @@ def scan_segment(fs, segment: int) -> list[_Fragment]:
     return fragments
 
 
+def scan_log(fs) -> list[list[_Fragment]]:
+    """Every segment's fragments, by segment (instant, via peek)."""
+    return [scan_segment(fs, segment) for segment in range(fs.sb.nsegments)]
+
+
 def _payload_intact(fs, fragment: _Fragment) -> bool:
     """Verify a fragment's payload checksum (torn-write detection)."""
     base = fs.writer.segment_base(fragment.segment)
@@ -78,16 +90,15 @@ def _payload_intact(fs, fragment: _Fragment) -> bool:
     return payload_checksum(payload) == fragment.summary.payload_crc
 
 
-def roll_forward(fs, checkpoint: Checkpoint) -> LogHead:
-    """Re-apply the contiguous fragment chain after ``checkpoint``.
+def roll_forward(fs, checkpoint: Checkpoint,
+                 scans: list[list[_Fragment]]) -> LogHead:
+    """Re-apply the contiguous fragment chain after ``checkpoint``,
+    found in ``scans`` (:func:`scan_log`).
 
     Returns the recovered log head (where appending resumes).
     """
-    candidates: list[_Fragment] = []
-    for segment in range(fs.sb.nsegments):
-        for fragment in scan_segment(fs, segment):
-            if fragment.summary.seq >= checkpoint.next_fragment_seq:
-                candidates.append(fragment)
+    candidates = [fragment for fragments in scans for fragment in fragments
+                  if fragment.summary.seq >= checkpoint.next_fragment_seq]
     candidates.sort(key=lambda fragment: fragment.summary.seq)
 
     expected = checkpoint.next_fragment_seq
@@ -126,17 +137,20 @@ def _apply_fragment(fs, fragment: _Fragment) -> None:
 # usage rebuild
 # ---------------------------------------------------------------------------
 
-def rebuild_usage(fs) -> None:
-    """Recompute every segment's live byte count from first principles."""
-    for segment in range(fs.sb.nsegments):
+def rebuild_usage(fs, scans: list[list[_Fragment]]) -> None:
+    """Recompute every segment's live byte count from first principles,
+    from the summaries in ``scans`` (:func:`scan_log`)."""
+    #: (log address, decoder) -> decoded inode or pointer block.
+    peeked: dict[tuple[int, Callable], object] = {}
+    for segment, fragments in enumerate(scans):
         entry = fs.usage[segment]
-        fragments = scan_segment(fs, segment)
         live = 0
         base = fs.writer.segment_base(segment)
         for fragment in fragments:
-            for position, block_id in enumerate(fragment.summary.entries):
-                addr = base + fragment.start_offset + 1 + position
-                if _is_live(fs, block_id, addr):
+            addr = base + fragment.start_offset
+            for block_id in fragment.summary.entries:
+                addr += 1
+                if _is_live(fs, block_id, addr, peeked):
                     live += BLOCK_SIZE
         entry.live_bytes = live
         if segment == fs.writer.current_segment:
@@ -147,55 +161,52 @@ def rebuild_usage(fs) -> None:
             entry.state = SegmentState.CLEAN
 
 
-def _is_live(fs, block_id: BlockId, addr: int) -> bool:
-    kind = block_id.kind
+def _is_live(fs, block_id: BlockId, addr: int, peeked: dict) -> bool:
+    kind, ino, index = block_id
     if kind == BlockKind.IMAP:
-        return fs.imap_addrs[block_id.index] == addr
+        return fs.imap_addrs[index] == addr
     if kind == BlockKind.INODE:
-        return fs.imap.get(block_id.ino) == addr
-    inode = _peek_inode(fs, block_id.ino)
+        return fs.imap.get(ino) == addr
+    inode = fs._inodes.get(ino)
     if inode is None:
-        return False
+        inode_addr = fs.imap.get(ino)
+        if inode_addr in (NULL_ADDR, PENDING):
+            return False
+        inode = _peek(fs, inode_addr, Inode.decode, peeked)
     if kind == BlockKind.DINDIRECT:
         return inode.dindirect == addr
     if kind == BlockKind.INDIRECT:
-        return _peek_chunk_root(fs, inode, block_id.index) == addr
+        return _chunk_root(fs, inode, index, peeked) == addr
     if kind == BlockKind.DATA:
-        return _peek_block_addr(fs, inode, block_id.index) == addr
+        return _block_addr(fs, inode, index, peeked) == addr
     raise CorruptFileSystemError(f"unknown block kind {kind}")
 
 
-def _peek_inode(fs, ino: int):
-    cached = fs._inodes.get(ino)
-    if cached is not None:
-        return cached
-    addr = fs.imap.get(ino)
-    if addr in (NULL_ADDR, PENDING):
-        return None
-    return Inode.decode(fs.device.peek(addr * BLOCK_SIZE, BLOCK_SIZE))
+def _peek(fs, addr: int, decode: Callable, peeked: dict):
+    """The block at log address ``addr``, decoded, peeked once per
+    rebuild."""
+    key = (addr, decode)
+    decoded = peeked.get(key)
+    if decoded is None:
+        decoded = peeked[key] = decode(
+            fs.device.peek(addr * BLOCK_SIZE, BLOCK_SIZE))
+    return decoded
 
 
-def _peek_chunk_root(fs, inode: Inode, chunk_index: int) -> int:
+def _chunk_root(fs, inode: Inode, chunk_index: int, peeked: dict) -> int:
     if chunk_index == 0:
         return inode.indirect
     if inode.dindirect == NULL_ADDR:
         return NULL_ADDR
-    droot = decode_pointer_block(
-        fs.device.peek(inode.dindirect * BLOCK_SIZE, BLOCK_SIZE))
-    return droot[chunk_index - 1]
+    return _peek(fs, inode.dindirect, decode_pointer_block,
+                 peeked)[chunk_index - 1]
 
 
-def _peek_block_addr(fs, inode: Inode, bidx: int) -> int:
-    from repro.lfs.fs import N_DIRECT  # local import to avoid a cycle
-    from repro.lfs.ondisk import ADDRS_PER_BLOCK
-
+def _block_addr(fs, inode: Inode, bidx: int, peeked: dict) -> int:
     if bidx < N_DIRECT:
         return inode.direct[bidx]
-    rel = bidx - N_DIRECT
-    chunk_index, slot = rel // ADDRS_PER_BLOCK, rel % ADDRS_PER_BLOCK
-    root = _peek_chunk_root(fs, inode, chunk_index)
+    chunk_index, slot = divmod(bidx - N_DIRECT, ADDRS_PER_BLOCK)
+    root = _chunk_root(fs, inode, chunk_index, peeked)
     if root == NULL_ADDR:
         return NULL_ADDR
-    chunk = decode_pointer_block(
-        fs.device.peek(root * BLOCK_SIZE, BLOCK_SIZE))
-    return chunk[slot]
+    return _peek(fs, root, decode_pointer_block, peeked)[slot]

@@ -21,12 +21,17 @@ so a long stream of appends produces full-segment sequential writes.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import NoSpaceFsError
 from repro.lfs.ondisk import (BLOCK_SIZE, MAX_FRAGMENT_PAYLOAD, BlockId,
                               FragmentSummary, SegmentState,
                               payload_checksum_parts)
+
+
+_block_id_of = itemgetter(0)
+_payload_of = itemgetter(1)
 
 
 class SegmentWriter:
@@ -53,11 +58,14 @@ class SegmentWriter:
         self.current_segment: Optional[int] = None
         #: Next free block offset within the current segment.
         self.offset = 0
-        #: Open fragment: position of its (reserved) summary block,
+        #: Open fragment: log address of its (reserved) summary block,
         #: or None when no fragment is open.
-        self._fragment_start: Optional[int] = None
-        self._pending: list[tuple[BlockId, bytes]] = []
-        self._pending_index: dict[BlockId, int] = {}
+        self._summary_addr: Optional[int] = None
+        #: The open fragment's blocks, in log order, and each pending
+        #: identity's position in that list.  The file system reads the
+        #: index directly in its per-block loops.
+        self.pending: list[tuple[BlockId, bytes]] = []
+        self.pending_index: dict[BlockId, int] = {}
 
         self.segments_started = 0
         self.fragments_flushed = 0
@@ -73,22 +81,9 @@ class SegmentWriter:
     def segment_base(self, segment: int) -> int:
         return self.first_segment_block + segment * self.segment_blocks
 
-    def addr_of_pending(self, position: int) -> int:
-        assert self._fragment_start is not None
-        assert self.current_segment is not None
-        return (self.segment_base(self.current_segment)
-                + self._fragment_start + 1 + position)
-
-    def pending_payload(self, block_id: BlockId) -> Optional[bytes]:
-        """Buffered (unflushed) payload for ``block_id``, if any."""
-        position = self._pending_index.get(block_id)
-        if position is None:
-            return None
-        return self._pending[position][1]
-
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self.pending)
 
     def resume_at(self, segment: int, offset: int) -> None:
         """Continue logging at a recovered head position."""
@@ -119,50 +114,59 @@ class SegmentWriter:
         self.segments_started += 1
         return segment
 
-    def append(self, block_id: BlockId, payload: bytes):
-        """Process: append one block; returns its assigned address.
-
-        Flushes automatically when the current segment (or the summary
-        capacity) fills, so a single call may perform device I/O.
-        """
-        if len(payload) > BLOCK_SIZE:
-            raise NoSpaceFsError(
-                f"payload of {len(payload)} bytes exceeds the block size")
-        if len(payload) < BLOCK_SIZE:
+    def add(self, block_id: BlockId, payload: bytes) -> Optional[int]:
+        """Buffer one block without I/O and return its assigned address,
+        or None, buffering nothing, when the open fragment must be
+        flushed first (see :meth:`append`)."""
+        size = len(payload)
+        if size != BLOCK_SIZE:
+            if size > BLOCK_SIZE:
+                raise NoSpaceFsError(
+                    f"payload of {size} bytes exceeds the block size")
             # Short payloads (metadata, file tails) are padded into a
             # fresh block; full blocks pass through as zero-copy views.
             payload = (bytes(payload)  # lint: disable=SIM004
-                       + bytes(BLOCK_SIZE - len(payload)))
+                       + bytes(BLOCK_SIZE - size))
 
-        # Replace in place if this identity is already pending.
-        position = self._pending_index.get(block_id)
+        position = self.pending_index.get(block_id)
         if position is not None:
-            self._pending[position] = (block_id, payload)
-            return self.addr_of_pending(position)
-
-        if len(self._pending) >= MAX_FRAGMENT_PAYLOAD:
-            yield from self.flush()
-
-        if self.current_segment is None:
-            self.current_segment = self._allocate_segment()
-            self.offset = 0
-        # Need room for the summary (if opening a fragment) + the block.
-        needed = 1 if self._fragment_start is not None else 2
-        if self.offset + needed > self.segment_blocks:
-            yield from self.flush()
+            # Replace in place: this identity is already pending.
+            self.pending[position] = (block_id, payload)
+        else:
+            position = len(self.pending)
+            if position >= MAX_FRAGMENT_PAYLOAD:
+                return None
             if self.current_segment is None:
                 self.current_segment = self._allocate_segment()
                 self.offset = 0
-        if self._fragment_start is None:
-            self._fragment_start = self.offset
-            self.offset += 1  # reserve the summary slot
+            # Need room for the summary (if opening a fragment) + the
+            # block.
+            if self._summary_addr is None:
+                if self.offset + 2 > self.segment_blocks:
+                    return None
+                self._summary_addr = (self.segment_base(self.current_segment)
+                                      + self.offset)
+                self.offset += 1  # reserve the summary slot
+            elif self.offset + 1 > self.segment_blocks:
+                return None
+            self.pending.append((block_id, payload))
+            self.pending_index[block_id] = position
+            self.offset += 1
+            self.blocks_appended += 1
+        return self._summary_addr + 1 + position
 
-        position = len(self._pending)
-        self._pending.append((block_id, payload))
-        self._pending_index[block_id] = position
-        self.offset += 1
-        self.blocks_appended += 1
-        return self.addr_of_pending(position)
+    def append(self, block_id: BlockId, payload: bytes):
+        """Process: append one block; returns its assigned address.
+
+        Flushes first when the current segment (or the summary
+        capacity) is full, so a call may perform device I/O; callers
+        on the request path try :meth:`add` first.
+        """
+        addr = self.add(block_id, payload)
+        if addr is None:
+            yield from self.flush()
+            addr = self.add(block_id, payload)
+        return addr
 
     # ------------------------------------------------------------------
     # flushing
@@ -177,23 +181,22 @@ class SegmentWriter:
         atomic-for-recovery: a torn flush fails verification and the
         whole fragment is discarded by roll-forward.
         """
-        if self._fragment_start is None or not self._pending:
+        if self._summary_addr is None or not self.pending:
             return None
         segment = self.current_segment
         assert segment is not None
-        base = self.segment_base(segment)
         # Checksum the pending views in place and join summary + payload
         # in one pass: the only assembly copy on the flush path (the
         # device slices views of this buffer from here down).
-        parts = [data for _id, data in self._pending]
-        payload_bytes = sum(len(part) for part in parts)
+        parts = list(map(_payload_of, self.pending))
+        payload_bytes = sum(map(len, parts))
         summary = FragmentSummary(
             seq=self.next_fragment_seq, segment=segment,
-            entries=tuple(block_id for block_id, _data in self._pending),
+            entries=tuple(map(_block_id_of, self.pending)),
             payload_crc=payload_checksum_parts(parts))
 
         yield from self.device.write(
-            (base + self._fragment_start) * BLOCK_SIZE,
+            self._summary_addr * BLOCK_SIZE,
             b"".join([summary.encode(), *parts]))
 
         entry = self.usage[segment]
@@ -202,9 +205,9 @@ class SegmentWriter:
         self.fragments_flushed += 1
         self.bytes_flushed += payload_bytes + BLOCK_SIZE
 
-        self._pending.clear()
-        self._pending_index.clear()
-        self._fragment_start = None
+        self.pending.clear()
+        self.pending_index.clear()
+        self._summary_addr = None
         # Retire the segment when it cannot host another fragment.
         if self.offset + 2 > self.segment_blocks:
             entry.state = SegmentState.DIRTY

@@ -1,5 +1,7 @@
 """Unit tests for VME ports, XBUS memory, parity engine and the board."""
 
+import random
+
 import pytest
 
 from repro.errors import HardwareError
@@ -107,6 +109,30 @@ def test_xor_blocks_correctness():
     assert parity == bytes([0b1101] * 16)
     # XOR-ing parity back in recovers any block.
     assert xor_blocks([parity, b, c]) == a
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_xor_blocks_mixed_buffer_types(count):
+    rng = random.Random(count)
+    raw = [rng.randbytes(4096) for _ in range(count)]
+    expected = raw[0]
+    for block in raw[1:]:
+        expected = bytes(x ^ y for x, y in zip(expected, block))
+    # Each block's bytes as bytes, bytearray and a memoryview slice of
+    # a larger buffer, in every rotation across the positions.
+    shapes = [bytes, bytearray,
+              lambda data: memoryview(b"pad" + data + b"pad")[3:-3]]
+    for shift in range(len(shapes)):
+        blocks = [shapes[(index + shift) % len(shapes)](data)
+                  for index, data in enumerate(raw)]
+        parity = xor_blocks(blocks)
+        assert type(parity) is bytes
+        assert parity == expected
+    # Inputs are read, never written.
+    assert [bytes(block) for block in blocks] == raw
+    # A short block of any type is named by its index.
+    with pytest.raises(HardwareError, match=f"block {count} differs"):
+        xor_blocks(blocks + [memoryview(bytearray(4095))])
 
 
 def test_xor_blocks_length_mismatch_rejected():

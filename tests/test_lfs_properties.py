@@ -172,6 +172,6 @@ def test_usage_accounting_never_negative_and_rebuildable(ops):
         assert entry.live_bytes >= 0
     sim.run_process(fs.checkpoint())
     incremental = [entry.live_bytes for entry in fs.usage]
-    recovery.rebuild_usage(fs)
+    recovery.rebuild_usage(fs, recovery.scan_log(fs))
     rebuilt = [entry.live_bytes for entry in fs.usage]
     assert rebuilt == incremental

@@ -218,14 +218,13 @@ def test_second_crash_keeps_data_synced_after_a_torn_fragment():
         offset += 16 * KIB
         # The open fragment, about to be flushed by the sync.
         writer = fs.writer
-        segment, start, torn_seq = (writer.current_segment,
-                                    writer._fragment_start,
-                                    writer.next_fragment_seq)
+        segment, summary, torn_seq = (writer.current_segment,
+                                      writer._summary_addr,
+                                      writer.next_fragment_seq)
         sim.run_process(fs.sync())
     # Tear the first fragment in segment 1: garbage over its first
     # payload block fails the summary's checksum.
-    device.poke((writer.segment_base(1) + start + 1) * BLOCK_SIZE,
-                b"\xff" * BLOCK_SIZE)
+    device.poke((summary + 1) * BLOCK_SIZE, b"\xff" * BLOCK_SIZE)
     fs.crash()
 
     fs2 = remount(sim, device)
