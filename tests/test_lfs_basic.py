@@ -139,6 +139,41 @@ def test_file_spanning_double_indirect():
     assert sim.run_process(fs.read("/huge", 0, len(payload))) == payload
 
 
+def test_cold_mount_reads_across_every_pointer_level():
+    # Written blocks straddle each pointer boundary (direct/single
+    # indirect, single/double indirect, one double-indirect chunk and
+    # the next), with holes between them and a never-written chunk in
+    # the middle; every range is read on a cold mount (pointer blocks
+    # loaded from the log) and again with them resident.
+    sim, device, fs = make_fs()
+    first_double = N_DIRECT + ADDRS_PER_BLOCK
+    written = [N_DIRECT - 2, N_DIRECT - 1, N_DIRECT, N_DIRECT + 3,
+               first_double - 1, first_double, first_double + 1,
+               first_double + ADDRS_PER_BLOCK - 1,
+               first_double + 3 * ADDRS_PER_BLOCK]
+    content = bytearray((written[-1] + 1) * BLOCK_SIZE)
+    sim.run_process(fs.create("/sparse"))
+    for seed, bidx in enumerate(written):
+        block = pattern(BLOCK_SIZE, seed=seed)
+        content[bidx * BLOCK_SIZE:(bidx + 1) * BLOCK_SIZE] = block
+        sim.run_process(fs.write("/sparse", bidx * BLOCK_SIZE, block))
+    sim.run_process(fs.unmount())
+    ranges = [(N_DIRECT - 3, N_DIRECT + 4), (first_double - 2, first_double + 2),
+              (first_double + ADDRS_PER_BLOCK - 2, first_double + ADDRS_PER_BLOCK + 1),
+              (first_double + 2 * ADDRS_PER_BLOCK - 1, written[-1] + 1)]
+    for cold in (True, False):
+        fs = LogStructuredFS(sim, device, spec=FAST_SPEC, max_inodes=256)
+        sim.run_process(fs.mount())
+        if not cold:
+            whole = sim.run_process(fs.read("/sparse", 0, len(content)))
+            assert whole == content
+        for lo, hi in ranges:
+            got = sim.run_process(fs.read("/sparse", lo * BLOCK_SIZE + 7,
+                                          (hi - lo) * BLOCK_SIZE - 7))
+            assert got == bytes(content[lo * BLOCK_SIZE + 7:hi * BLOCK_SIZE])
+        sim.run_process(fs.unmount())
+
+
 def test_read_after_sync_hits_disk():
     sim, device, fs = make_fs()
     payload = pattern(3 * BLOCK_SIZE, seed=4)
