@@ -18,7 +18,7 @@ from repro.net import UltranetLink
 from repro.server import Raid2Config, Raid2Server
 from repro.server.raid2 import make_sparcstation_client
 from repro.sim import Simulator
-from repro.units import KIB, MB, MIB
+from repro.units import KIB, MB
 
 FRAME_BYTES = 300 * KIB      # one digitized microscope frame
 FRAMES = 60

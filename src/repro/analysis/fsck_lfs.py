@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import CorruptFileSystemError
 from repro.lfs import directory as dirmod
+from repro.lfs.blockmap import LogPeek, addrs, chunk_base, chunk_root
 from repro.lfs.imap import PENDING
-from repro.lfs.ondisk import (ADDRS_PER_BLOCK, BLOCK_SIZE, N_DIRECT,
-                              NULL_ADDR, Checkpoint, FileType, Inode,
-                              SegmentState, Superblock, decode_pointer_block)
+from repro.lfs.ondisk import (BLOCK_SIZE, NULL_ADDR, Checkpoint, FileType,
+                              Inode, SegmentState, Superblock)
 
 ROOT_INO = 1
 
@@ -87,6 +87,8 @@ class _Fsck:
         self.report = FsckReport()
         #: block address -> human description of its claimant
         self.claimed: dict[int, str] = {}
+        #: The inodes that decode and the pointer blocks under them.
+        self.log = LogPeek(fs)
 
     # -- helpers --------------------------------------------------------
     def _peek_block(self, addr: int) -> bytes:
@@ -198,7 +200,7 @@ class _Fsck:
     def _check_inodes(self) -> dict[int, Inode]:
         """Validate every allocated inode and claim its block tree."""
         fs = self.fs
-        inodes: dict[int, Inode] = {}
+        inodes = self.log.inodes
         for ino in fs.imap.allocated_inodes():
             addr = fs.imap.get(ino)
             if addr == PENDING:
@@ -230,48 +232,42 @@ class _Fsck:
     def _check_pointer_tree(self, inode: Inode) -> None:
         nblocks = -(-inode.size // BLOCK_SIZE)
         owner = f"inode {inode.ino}"
-        for bidx, addr in enumerate(inode.direct):
-            if addr == NULL_ADDR:
-                continue
-            if bidx >= nblocks:
-                self.report.add(
-                    "FSCK-EOF",
-                    f"{owner}: direct pointer {bidx} past EOF is non-null")
-                continue
-            self._claim(addr, f"{owner} data block {bidx}")
-        indirect_needed = nblocks > N_DIRECT
-        if inode.indirect != NULL_ADDR and not indirect_needed:
+        self._check_data(owner, inode.direct, 0, nblocks)
+        if inode.indirect != NULL_ADDR and nblocks <= chunk_base(0):
             self.report.add(
                 "FSCK-EOF", f"{owner}: indirect block past EOF is non-null")
-        elif inode.indirect != NULL_ADDR:
-            self._check_chunk(inode, inode.indirect, chunk_index=0,
-                              nblocks=nblocks)
-        dindirect_needed = nblocks > N_DIRECT + ADDRS_PER_BLOCK
-        if inode.dindirect != NULL_ADDR and not dindirect_needed:
+        else:
+            self._check_chunk(inode, 0, None, nblocks)
+        if inode.dindirect == NULL_ADDR:
+            return
+        if nblocks <= chunk_base(1):
             self.report.add(
                 "FSCK-EOF",
                 f"{owner}: double-indirect block past EOF is non-null")
-        elif inode.dindirect != NULL_ADDR:
-            if not self._claim(inode.dindirect, f"{owner} dindirect root"):
-                return
-            droot = decode_pointer_block(self._peek_block(inode.dindirect))
-            for child_index, child in enumerate(droot):
-                if child == NULL_ADDR:
-                    continue
-                self._check_chunk(inode, child, chunk_index=child_index + 1,
-                                  nblocks=nblocks)
+        elif self._claim(inode.dindirect, f"{owner} dindirect root"):
+            droot = self.log.block(inode.dindirect)
+            for chunk_index in range(1, len(droot) + 1):
+                self._check_chunk(inode, chunk_index, droot, nblocks)
 
-    def _check_chunk(self, inode: Inode, root: int, chunk_index: int,
+    def _check_chunk(self, inode: Inode, chunk_index: int, droot,
                      nblocks: int) -> None:
+        """Claim chunk ``chunk_index``'s pointer block, if written, and
+        the data blocks it points at."""
         owner = f"inode {inode.ino}"
-        if not self._claim(root, f"{owner} pointer block {chunk_index}"):
+        root = chunk_root(inode, chunk_index, droot)
+        if root == NULL_ADDR or not self._claim(
+                root, f"{owner} pointer block {chunk_index}"):
             return
-        chunk = decode_pointer_block(self._peek_block(root))
-        base = N_DIRECT + chunk_index * ADDRS_PER_BLOCK
-        for slot, addr in enumerate(chunk):
+        self._check_data(owner, self.log.block(root), chunk_base(chunk_index),
+                         nblocks)
+
+    def _check_data(self, owner: str, pointers, base: int,
+                    nblocks: int) -> None:
+        """Claim the data blocks that ``pointers``, the pointers of file
+        blocks ``base`` on, point at."""
+        for bidx, addr in enumerate(pointers, base):
             if addr == NULL_ADDR:
                 continue
-            bidx = base + slot
             if bidx >= nblocks:
                 self.report.add(
                     "FSCK-EOF",
@@ -283,31 +279,10 @@ class _Fsck:
     def _read_file_payload(self, inode: Inode) -> bytes:
         """Assemble a file's bytes straight from the disk store."""
         nblocks = -(-inode.size // BLOCK_SIZE)
-        chunks: list[bytes] = []
-        for bidx in range(nblocks):
-            addr = self._block_addr(inode, bidx)
-            if addr == NULL_ADDR:
-                chunks.append(bytes(BLOCK_SIZE))
-            else:
-                chunks.append(self._peek_block(addr))
-        return b"".join(chunks)[:inode.size]
-
-    def _block_addr(self, inode: Inode, bidx: int) -> int:
-        if bidx < N_DIRECT:
-            return inode.direct[bidx]
-        rel = bidx - N_DIRECT
-        chunk_index, slot = rel // ADDRS_PER_BLOCK, rel % ADDRS_PER_BLOCK
-        if chunk_index == 0:
-            root = inode.indirect
-        else:
-            if inode.dindirect == NULL_ADDR:
-                return NULL_ADDR
-            droot = decode_pointer_block(self._peek_block(inode.dindirect))
-            root = droot[chunk_index - 1]
-        if root == NULL_ADDR:
-            return NULL_ADDR
-        chunk = decode_pointer_block(self._peek_block(root))
-        return chunk[slot]
+        blocks = [bytes(BLOCK_SIZE) if addr == NULL_ADDR
+                  else self._peek_block(addr)
+                  for addr in addrs(self.log, inode, 0, nblocks - 1)]
+        return b"".join(blocks)[:inode.size]
 
     def _check_reachability(self, inodes: dict[int, Inode]) -> None:
         fs = self.fs

@@ -9,25 +9,25 @@ Rosenblum & Ousterhout:
 * **cost-benefit** — maximize ``(age * free) / (1 + live)``, which
   prefers old, cold segments even when they hold a bit more live data.
 
-Cleaning a victim reads its summaries, checks each block's identity
-against the current maps, copies live *data* blocks back into the head
-of the log (at normal, timed append cost), and marks dirty the inodes,
-pointer blocks and imap blocks it displaces so the following sync
-relocates them.  Victims are only marked clean after the copies are
-safely flushed, so a crash mid-clean can never lose data.
+Cleaning a victim reads its summaries, tests each block's liveness
+against the resident maps (:func:`repro.lfs.blockmap.is_live`), copies
+live *data* blocks back into the head of the log (at normal, timed
+append cost), and marks dirty the inodes, pointer blocks and imap
+blocks it displaces so the following sync relocates them.  Victims are
+only marked clean after the copies are safely flushed, so a crash
+mid-clean can never lose data.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.errors import FileSystemError
+from repro.lfs import blockmap
+from repro.lfs.blockmap import DROOT
 from repro.lfs.ondisk import (BLOCK_SIZE, NULL_ADDR, BlockId, BlockKind,
                               SegmentState)
 from repro.lfs.recovery import scan_segment
-
-_DROOT = -1
 
 
 class CleanerPolicy(enum.Enum):
@@ -110,7 +110,8 @@ def _evacuate(fs, victim: int):
         addr = base + fragment.start_offset
         for block_id in fragment.summary.entries:
             addr += 1
-            live = _is_live(fs, block_id, addr)
+            live = blockmap.is_live(fs, fs._inodes.get, fs._chunks,
+                                    block_id, addr)
             if live is None:
                 live = yield from _is_live_timed(fs, block_id, addr)
             if live and not _relocate_resident(fs, block_id):
@@ -118,46 +119,18 @@ def _evacuate(fs, victim: int):
     return None
 
 
-def _is_live(fs, block_id: BlockId, addr: int) -> Optional[bool]:
-    """Whether the block at ``addr`` is still ``block_id``'s current
-    copy, or None when the inode or pointer block that decides it is
-    not resident."""
-    kind, ino, index = block_id
-    if kind == BlockKind.IMAP:
-        return fs.imap_addrs[index] == addr
-    imap = fs.imap
-    if kind == BlockKind.INODE:
-        return imap.get(ino) == addr
-    inode = fs._inodes.get(ino)
-    if inode is None:
-        if imap.max_inodes <= ino or imap.get(ino) == NULL_ADDR:
-            return False
-        return None
-    if kind == BlockKind.DINDIRECT:
-        return inode.dindirect == addr
-    if kind == BlockKind.INDIRECT:
-        if index == 0:
-            return inode.indirect == addr
-        droot = fs._chunks.get((ino, _DROOT))
-        if droot is not None:
-            return droot[index - 1] == addr
-        return None if inode.dindirect != NULL_ADDR else False
-    addrs = fs._addrs(inode, index, index)
-    return None if addrs is None else addrs[0] == addr
-
-
 def _is_live_timed(fs, block_id: BlockId, addr: int):
-    """Process: the miss path of :func:`_is_live`: read the inode and
-    pointer block it lacks through the normal metadata path, then
+    """Process: the miss path of ``blockmap.is_live``: read the inode
+    and pointer block it lacks through the normal metadata path, then
     decide."""
     kind, ino, index = block_id
     inode = yield from fs._load_inode(ino)
     if kind == BlockKind.INDIRECT and index > 0:
         if inode.dindirect != NULL_ADDR:
-            yield from fs._load_chunk(inode, _DROOT)
+            yield from fs._load_chunk(inode, DROOT)
     elif kind == BlockKind.DATA:
         yield from fs._load_addrs(inode, index, index)
-    return _is_live(fs, block_id, addr)
+    return blockmap.is_live(fs, fs._inodes.get, fs._chunks, block_id, addr)
 
 
 def _relocate_resident(fs, block_id: BlockId) -> bool:
@@ -174,7 +147,7 @@ def _relocate_resident(fs, block_id: BlockId) -> bool:
         # Re-log the inode at the next metadata flush.
         fs._dirty_inodes.add(ino)
         return True
-    key = (ino, _DROOT if kind == BlockKind.DINDIRECT else index)
+    key = (ino, DROOT if kind == BlockKind.DINDIRECT else index)
     if key not in fs._chunks:
         return False
     fs._dirty_chunks.add(key)
@@ -191,15 +164,12 @@ def _relocate(fs, block_id: BlockId, addr: int):
         new_addr = fs.writer.add(block_id, payload)
         if new_addr is None:
             new_addr = yield from fs.writer.append(block_id, payload)
-        if not fs._put_addr(inode, index, new_addr):
+        if not blockmap.put_addr(fs, inode, index, new_addr):
             yield from fs._set_addr(inode, index, new_addr)
         return None
     inode = yield from fs._load_inode(ino)
-    if kind == BlockKind.INDIRECT:
-        yield from fs._load_chunk(inode, index)
-    elif kind == BlockKind.DINDIRECT:
-        yield from fs._load_chunk(inode, _DROOT)
-    elif kind != BlockKind.INODE:
-        raise FileSystemError(f"unknown block kind {kind}")
+    if kind != BlockKind.INODE:
+        yield from fs._load_chunk(
+            inode, DROOT if kind == BlockKind.DINDIRECT else index)
     _relocate_resident(fs, block_id)
     return None

@@ -20,31 +20,25 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import (CorruptFileSystemError, DirectoryNotEmptyFsError,
                           FileExistsFsError, FileNotFoundFsError,
                           FileSystemError, IsADirectoryFsError,
                           NotADirectoryFsError)
 from repro.hw.specs import LFS_SPEC, LfsSpec
+from repro.lfs import blockmap
 from repro.lfs import directory as dirmod
 from repro.lfs import recovery
+from repro.lfs.blockmap import DROOT
 from repro.lfs.imap import PENDING, InodeMap
-from repro.lfs.ondisk import (ADDRS_PER_BLOCK, BLOCK_SIZE, N_DIRECT,
-                              NULL_ADDR, BlockId, BlockKind, Checkpoint,
-                              FileType, Inode, SegmentState, SegmentUsage,
-                              Superblock, decode_pointer_block,
-                              encode_pointer_block, new_block_id)
+from repro.lfs.ondisk import (ADDRS_PER_BLOCK, BLOCK_SIZE, NULL_ADDR,
+                              BlockId, BlockKind, Checkpoint, FileType,
+                              Inode, SegmentState, SegmentUsage, Superblock,
+                              decode_pointer_block, encode_pointer_block,
+                              new_block_id)
 from repro.lfs.segment import SegmentWriter
 from repro.sim import Simulator
-
-#: Cache key for an inode's double-indirect root pointer block.
-_DROOT = -1
-
-#: Maximum file size in blocks: direct + single indirect + one double
-#: indirect tree.
-MAX_FILE_BLOCKS = N_DIRECT + ADDRS_PER_BLOCK + ADDRS_PER_BLOCK ** 2
-_MAX_CHUNK = 1 + ADDRS_PER_BLOCK  # chunk 0 plus the droot's children
 
 ROOT_INO = 1
 
@@ -293,37 +287,29 @@ class LogStructuredFS:
     def _flush_metadata(self):
         """Process: log dirty pointer blocks (leaves, then double-indirect
         roots), then dirty inodes, updating the imap."""
-        leaf_keys = sorted(key for key in self._dirty_chunks
-                           if key[1] != _DROOT)
-        for ino, chunk_index in leaf_keys:
-            chunk = self._chunks[(ino, chunk_index)]
-            addr = yield from self.writer.append(
-                BlockId(BlockKind.INDIRECT, ino, chunk_index),
-                encode_pointer_block(chunk))
-            inode = self._inodes.get(ino) or (yield from self._load_inode(ino))
-            if chunk_index == 0:
-                self._move_live(inode.indirect, addr)
-                inode.indirect = addr
-                self._dirty_inodes.add(ino)
-            else:
-                droot = yield from self._load_chunk(inode, _DROOT)
-                self._move_live(droot[chunk_index - 1], addr)
-                droot[chunk_index - 1] = addr
-                self._dirty_chunks.add((ino, _DROOT))
-            self._dirty_chunks.discard((ino, chunk_index))
-
-        droot_keys = sorted(key for key in self._dirty_chunks
-                            if key[1] == _DROOT)
-        for ino, _key in droot_keys:
-            droot = self._chunks[(ino, _DROOT)]
-            addr = yield from self.writer.append(
-                BlockId(BlockKind.DINDIRECT, ino, 0),
-                encode_pointer_block(droot))
-            inode = self._inodes.get(ino) or (yield from self._load_inode(ino))
-            self._move_live(inode.dindirect, addr)
-            inode.dindirect = addr
-            self._dirty_inodes.add(ino)
-            self._dirty_chunks.discard((ino, _DROOT))
+        dirty = self._dirty_chunks
+        # Roots go second, as logging a leaf dirties its root; by then
+        # they are the only dirty chunks left.
+        for roots in (False, True):
+            for key in sorted(dirty):
+                ino, chunk_index = key
+                if (chunk_index == DROOT) != roots:
+                    continue
+                addr = yield from self.writer.append(
+                    BlockId(BlockKind.DINDIRECT, ino, 0) if roots
+                    else BlockId(BlockKind.INDIRECT, ino, chunk_index),
+                    encode_pointer_block(self._chunks[key]))
+                inode = (self._inodes.get(ino)
+                         or (yield from self._load_inode(ino)))
+                droot = ((yield from self._load_chunk(inode, DROOT))
+                         if chunk_index > 0 else None)
+                self._move_live(
+                    blockmap.set_root(inode, chunk_index, droot, addr), addr)
+                if chunk_index > 0:
+                    dirty.add((ino, DROOT))
+                else:
+                    self._dirty_inodes.add(ino)
+                dirty.discard(key)
 
         for ino in sorted(self._dirty_inodes):
             inode = self._inodes[ino]
@@ -358,7 +344,7 @@ class LogStructuredFS:
     # inode and pointer-block access
     # ==================================================================
     # Resident metadata resolves without a generator: the request path
-    # tries ``_inodes``/``_chunks`` (or ``_addrs``/``_put_addr``)
+    # tries ``_inodes``/``_chunks`` (or ``blockmap.addrs``/``put_addr``)
     # first, and the generators below run only on a miss, so the
     # device reads they make are the only scheduling they do.
     def _load_inode(self, ino: int):
@@ -378,24 +364,15 @@ class LogStructuredFS:
         return inode
 
     def _load_chunk(self, inode: Inode, chunk_index: int):
-        """Process: fetch a pointer block (chunk) for ``inode``.
-
-        Chunk ``c >= 0`` holds the pointers of file blocks
-        ``N_DIRECT + c * ADDRS_PER_BLOCK`` on; chunk 0 is the single
-        indirect block, the others hang off the double-indirect root
-        (chunk ``_DROOT``).
-        """
+        """Process: fetch pointer block ``chunk_index`` of ``inode`` (see
+        :mod:`repro.lfs.blockmap`) into the resident map."""
         key = (inode.ino, chunk_index)
         cached = self._chunks.get(key)
         if cached is not None:
             return cached
-        if chunk_index == _DROOT:
-            root = inode.dindirect
-        elif chunk_index == 0:
-            root = inode.indirect
-        else:
-            droot = yield from self._load_chunk(inode, _DROOT)
-            root = droot[chunk_index - 1]
+        droot = ((yield from self._load_chunk(inode, DROOT))
+                 if chunk_index > 0 else None)
+        root = blockmap.chunk_root(inode, chunk_index, droot)
         if root == NULL_ADDR:
             chunk = [NULL_ADDR] * ADDRS_PER_BLOCK
         else:
@@ -404,86 +381,20 @@ class LogStructuredFS:
         self._chunks[key] = chunk
         return chunk
 
-    def _addrs(self, inode: Inode, first: int,
-               last: int) -> Optional[list[int]]:
-        """Log addresses of file blocks ``first``..``last`` (NULL_ADDR
-        for a hole), or None when a pointer block they need is not
-        resident; then :meth:`_load_addrs` loads it."""
-        if first < 0 or last >= MAX_FILE_BLOCKS:
-            raise FileSystemError(
-                f"file block index {first if first < 0 else last} "
-                "out of range")
-        addrs = inode.direct[first:last + 1]
-        bidx = max(first, N_DIRECT)
-        chunks = self._chunks
-        ino = inode.ino
-        while bidx <= last:
-            chunk_index, slot = divmod(bidx - N_DIRECT, ADDRS_PER_BLOCK)
-            end = min(slot + last + 1 - bidx, ADDRS_PER_BLOCK)
-            chunk = chunks.get((ino, chunk_index))
-            if chunk is not None:
-                addrs += chunk[slot:end]
-            elif (inode.indirect == NULL_ADDR if chunk_index == 0
-                  else inode.dindirect == NULL_ADDR
-                  and (ino, _DROOT) not in chunks):
-                # Never written: a hole, without caching a zero chunk.
-                addrs += [NULL_ADDR] * (end - slot)
-            else:
-                return None
-            bidx += end - slot
-        return addrs
-
     def _load_addrs(self, inode: Inode, first: int, last: int):
-        """Process: :meth:`_addrs`, first loading in block order each
-        pointer block it lacks."""
+        """Process: ``blockmap.addrs`` over the resident map, first
+        loading in block order each pointer block it lacks."""
+        chunks = self._chunks
         for bidx in range(first, last + 1):
-            if self._addrs(inode, bidx, bidx) is None:
-                yield from self._load_chunk(
-                    inode, (bidx - N_DIRECT) // ADDRS_PER_BLOCK)
-        return self._addrs(inode, first, last)
-
-    def _put_addr(self, inode: Inode, bidx: int, addr: int) -> bool:
-        """Point file block ``bidx`` at ``addr``; False, changing
-        nothing, when its pointer block is not resident (then
-        :meth:`_set_addr`)."""
-        ino = inode.ino
-        if 0 <= bidx < N_DIRECT:
-            pointers, slot = inode.direct, bidx
-            self._dirty_inodes.add(ino)
-        else:
-            if not N_DIRECT <= bidx < MAX_FILE_BLOCKS:
-                raise FileSystemError(
-                    f"file block index {bidx} out of range")
-            key = (ino, (bidx - N_DIRECT) // ADDRS_PER_BLOCK)
-            pointers = self._chunks.get(key)
-            if pointers is None:
-                return False
-            slot = (bidx - N_DIRECT) % ADDRS_PER_BLOCK
-            self._dirty_chunks.add(key)
-        old = pointers[slot]
-        pointers[slot] = addr
-        self._readahead.pop((ino, bidx), None)
-        if old != addr:
-            # _move_live(old, addr), inlined: this runs for every block
-            # the request path writes.
-            sb = self.sb
-            first, blocks = sb.first_segment_block, sb.segment_blocks
-            if old != NULL_ADDR:
-                entry = self.usage[(old - first) // blocks]
-                entry.live_bytes -= BLOCK_SIZE
-                if entry.live_bytes < 0:
-                    raise CorruptFileSystemError(
-                        "segment usage accounting went negative")
-            if addr != NULL_ADDR:
-                self.usage[(addr - first) // blocks].live_bytes += BLOCK_SIZE
-        return True
+            if blockmap.addrs(chunks, inode, bidx, bidx) is None:
+                yield from self._load_chunk(inode, blockmap.chunk_of(bidx))
+        return blockmap.addrs(chunks, inode, first, last)
 
     def _set_addr(self, inode: Inode, bidx: int, addr: int):
-        """Process: the miss path of :meth:`_put_addr`: load the pointer
-        block of ``bidx``, then point the block at ``addr``."""
-        yield from self._load_chunk(inode,
-                                    (bidx - N_DIRECT) // ADDRS_PER_BLOCK)
-        self._put_addr(inode, bidx, addr)
+        """Process: the miss path of ``blockmap.put_addr``: load the
+        pointer block of ``bidx``, then point the block at ``addr``."""
+        yield from self._load_chunk(inode, blockmap.chunk_of(bidx))
+        blockmap.put_addr(self, inode, bidx, addr)
 
     # ==================================================================
     # data path
@@ -496,7 +407,7 @@ class LogStructuredFS:
         same identity lingers in the segment buffer (e.g. written, then
         truncated away before any flush).
         """
-        addr = (self._addrs(inode, bidx, bidx)
+        addr = (blockmap.addrs(self._chunks, inode, bidx, bidx)
                 or (yield from self._load_addrs(inode, bidx, bidx)))[0]
         if addr == NULL_ADDR:
             return bytes(BLOCK_SIZE)
@@ -531,7 +442,7 @@ class LogStructuredFS:
             addr = writer.add(block_id, piece)
             if addr is None:
                 addr = yield from writer.append(block_id, piece)
-            if not self._put_addr(inode, bidx, addr):
+            if not blockmap.put_addr(self, inode, bidx, addr):
                 yield from self._set_addr(inode, bidx, addr)
         inode.size = max(inode.size, end)
         inode.mtime = self.sim.now
@@ -575,7 +486,7 @@ class LogStructuredFS:
         # read-ahead hits come from memory, holes stay zero, and
         # on-disk blocks are coalesced into extents so sequential files
         # become a few large array reads.
-        addrs = (self._addrs(inode, first, fetch_last)
+        addrs = (blockmap.addrs(self._chunks, inode, first, fetch_last)
                  or (yield from self._load_addrs(inode, first, fetch_last)))
         pending_index = self.writer.pending_index
         pending = self.writer.pending
@@ -667,18 +578,18 @@ class LogStructuredFS:
         if new_size < inode.size:
             first_dead = -(-new_size // BLOCK_SIZE)
             last = (inode.size - 1) // BLOCK_SIZE
-            addrs = (self._addrs(inode, first_dead, last)
+            addrs = (blockmap.addrs(self._chunks, inode, first_dead, last)
                      or (yield from self._load_addrs(inode, first_dead, last)))
             for bidx, addr in enumerate(addrs, first_dead):
                 if addr != NULL_ADDR:
-                    self._put_addr(inode, bidx, NULL_ADDR)
+                    blockmap.put_addr(self, inode, bidx, NULL_ADDR)
             # Zero the tail of the (kept) final partial block, so that a
             # later size-extending write cannot resurrect stale bytes
             # from beyond the truncated EOF.
             cut = new_size % BLOCK_SIZE
             if cut:
                 bidx = new_size // BLOCK_SIZE
-                addr = (self._addrs(inode, bidx, bidx)
+                addr = (blockmap.addrs(self._chunks, inode, bidx, bidx)
                         or (yield from self._load_addrs(inode, bidx, bidx)))[0]
                 if addr != NULL_ADDR:
                     old = yield from self._read_block(inode, bidx)
@@ -688,7 +599,7 @@ class LogStructuredFS:
                                + bytes(BLOCK_SIZE - cut))
                     new_addr = yield from self.writer.append(
                         BlockId(_DATA, inode.ino, bidx), cleared)
-                    if not self._put_addr(inode, bidx, new_addr):
+                    if not blockmap.put_addr(self, inode, bidx, new_addr):
                         yield from self._set_addr(inode, bidx, new_addr)
         inode.size = new_size
         inode.mtime = self.sim.now
@@ -891,8 +802,8 @@ class LogStructuredFS:
         yield from self._truncate_inode(inode, 0)
         # Drop the pointer-block live claims (single indirect, the
         # double-indirect root, and all its children) and the inode.
-        if inode.dindirect != NULL_ADDR or (ino, _DROOT) in self._chunks:
-            droot = yield from self._load_chunk(inode, _DROOT)
+        if inode.dindirect != NULL_ADDR or (ino, DROOT) in self._chunks:
+            droot = yield from self._load_chunk(inode, DROOT)
             for child in droot:
                 self._move_live(child, NULL_ADDR)
         for key in [k for k in self._chunks if k[0] == ino]:
@@ -1038,10 +949,6 @@ class LogStructuredFS:
             "fragments_flushed": (self.writer.fragments_flushed
                                   if self.writer else 0),
         }
-
-    def iter_allocated_inodes(self) -> Iterator[int]:
-        assert self.imap is not None
-        return iter(self.imap.allocated_inodes())
 
 
 def _sleep(sim: Simulator, seconds: float):

@@ -15,30 +15,28 @@ Mount applies, in order:
    is exactly the crash point,
 3. **usage rebuild**, when roll-forward applied any fragment: segment
    liveness is recomputed from the summaries roll-forward already
-   scanned, testing each block's identity against the recovered maps
-   (our prototype favours a provably correct rebuild over Sprite's
-   incremental bookkeeping; volumes here are simulator-sized).  A
-   clean mount keeps the checkpoint's usage table, which is exact: a
-   rebuild would count a cleaned segment, whose stale summaries
-   remain, as dirty.
+   scanned, with the cleaner's test (:func:`repro.lfs.blockmap.is_live`)
+   over the recovered maps (our prototype favours a provably correct
+   rebuild over Sprite's incremental bookkeeping; volumes here are
+   simulator-sized).  A clean mount keeps the checkpoint's usage
+   table, which is exact: a rebuild would count a cleaned segment,
+   whose stale summaries remain, as dirty.
 
 A mount peeks each segment's summaries once (:func:`scan_log`), and
-the rebuild decodes each inode and pointer block once, whatever the
-number of summary entries that ask about it.
+the rebuild decodes each inode and pointer block once (through a
+:class:`repro.lfs.blockmap.LogPeek`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import CorruptFileSystemError
+from repro.lfs.blockmap import LogPeek, is_live
 from repro.lfs.fs_types import LogHead
-from repro.lfs.imap import PENDING
-from repro.lfs.ondisk import (ADDRS_PER_BLOCK, BLOCK_SIZE, N_DIRECT,
-                              NULL_ADDR, BlockId, BlockKind, Checkpoint,
-                              FragmentSummary, Inode, SegmentState,
-                              decode_pointer_block, payload_checksum)
+from repro.lfs.ondisk import (BLOCK_SIZE, BlockKind, Checkpoint,
+                              FragmentSummary, SegmentState,
+                              payload_checksum)
 
 __all__ = ["LogHead", "roll_forward", "rebuild_usage", "scan_log",
            "scan_segment"]
@@ -140,8 +138,7 @@ def _apply_fragment(fs, fragment: _Fragment) -> None:
 def rebuild_usage(fs, scans: list[list[_Fragment]]) -> None:
     """Recompute every segment's live byte count from first principles,
     from the summaries in ``scans`` (:func:`scan_log`)."""
-    #: (log address, decoder) -> decoded inode or pointer block.
-    peeked: dict[tuple[int, Callable], object] = {}
+    log = LogPeek(fs)
     for segment, fragments in enumerate(scans):
         entry = fs.usage[segment]
         live = 0
@@ -150,7 +147,7 @@ def rebuild_usage(fs, scans: list[list[_Fragment]]) -> None:
             addr = base + fragment.start_offset
             for block_id in fragment.summary.entries:
                 addr += 1
-                if _is_live(fs, block_id, addr, peeked):
+                if is_live(fs, log.inode, log, block_id, addr):
                     live += BLOCK_SIZE
         entry.live_bytes = live
         if segment == fs.writer.current_segment:
@@ -160,53 +157,3 @@ def rebuild_usage(fs, scans: list[list[_Fragment]]) -> None:
         else:
             entry.state = SegmentState.CLEAN
 
-
-def _is_live(fs, block_id: BlockId, addr: int, peeked: dict) -> bool:
-    kind, ino, index = block_id
-    if kind == BlockKind.IMAP:
-        return fs.imap_addrs[index] == addr
-    if kind == BlockKind.INODE:
-        return fs.imap.get(ino) == addr
-    inode = fs._inodes.get(ino)
-    if inode is None:
-        inode_addr = fs.imap.get(ino)
-        if inode_addr in (NULL_ADDR, PENDING):
-            return False
-        inode = _peek(fs, inode_addr, Inode.decode, peeked)
-    if kind == BlockKind.DINDIRECT:
-        return inode.dindirect == addr
-    if kind == BlockKind.INDIRECT:
-        return _chunk_root(fs, inode, index, peeked) == addr
-    if kind == BlockKind.DATA:
-        return _block_addr(fs, inode, index, peeked) == addr
-    raise CorruptFileSystemError(f"unknown block kind {kind}")
-
-
-def _peek(fs, addr: int, decode: Callable, peeked: dict):
-    """The block at log address ``addr``, decoded, peeked once per
-    rebuild."""
-    key = (addr, decode)
-    decoded = peeked.get(key)
-    if decoded is None:
-        decoded = peeked[key] = decode(
-            fs.device.peek(addr * BLOCK_SIZE, BLOCK_SIZE))
-    return decoded
-
-
-def _chunk_root(fs, inode: Inode, chunk_index: int, peeked: dict) -> int:
-    if chunk_index == 0:
-        return inode.indirect
-    if inode.dindirect == NULL_ADDR:
-        return NULL_ADDR
-    return _peek(fs, inode.dindirect, decode_pointer_block,
-                 peeked)[chunk_index - 1]
-
-
-def _block_addr(fs, inode: Inode, bidx: int, peeked: dict) -> int:
-    if bidx < N_DIRECT:
-        return inode.direct[bidx]
-    chunk_index, slot = divmod(bidx - N_DIRECT, ADDRS_PER_BLOCK)
-    root = _chunk_root(fs, inode, chunk_index, peeked)
-    if root == NULL_ADDR:
-        return NULL_ADDR
-    return _peek(fs, root, decode_pointer_block, peeked)[slot]

@@ -21,7 +21,7 @@ as a text table: every component's counters, busy times included.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.obs.trace import Span
 from repro.units import MB

@@ -112,18 +112,6 @@ class _StripedLayout:
             position += take
         return pieces
 
-    def rows_of(self, offset: int, nbytes: int) -> range:
-        """Rows spanned by a logical range."""
-        self.check_range(offset, nbytes)
-        row_bytes = self.data_units_per_row * self.stripe_unit_bytes
-        first = offset // row_bytes
-        last = (offset + nbytes - 1) // row_bytes
-        return range(first, last + 1)
-
-    def logical_offset_of_unit(self, row: int, k: int) -> int:
-        """Logical byte address where data unit (row, k) begins."""
-        return (row * self.data_units_per_row + k) * self.stripe_unit_bytes
-
 
 class Raid0Layout(_StripedLayout):
     """Plain striping: no redundancy, all disks hold data."""

@@ -37,10 +37,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         sim = self.sim
         # Event.__init__ inlined, as in Simulator.timeout/process.

@@ -16,7 +16,7 @@ here (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import FileNotFoundFsError, ProtocolError, RaidError
 from repro.hw.parity import xor_blocks

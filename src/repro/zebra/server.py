@@ -87,6 +87,3 @@ class ZebraStorageServer:
                                       self.node.board.send_hippi(length)])
         self.fragments_served += 1
         return values[0]
-
-    def has_fragment(self, key: FragmentKey) -> bool:
-        return key in self._index

@@ -59,7 +59,7 @@ def test_corrupted_imap_entry_is_caught():
     populate(sim, fs)
     # Point an allocated inode's imap entry one block off, bypassing the
     # dirty tracking so memory and disk now silently disagree.
-    ino = next(iter(fs.iter_allocated_inodes()))
+    ino = fs.imap.allocated_inodes()[0]
     fs.imap._addrs[ino] += 1
     report = fsck(fs)
     assert not report.ok
@@ -79,7 +79,7 @@ def test_double_allocation_is_caught():
     sim, _device, fs = make_fs()
     populate(sim, fs)
     # Make two inodes share one on-disk inode block.
-    inos = list(fs.iter_allocated_inodes())
+    inos = list(fs.imap.allocated_inodes())
     a, b = inos[-2], inos[-1]
     fs.imap._addrs[b] = fs.imap._addrs[a]
     report = fsck(fs)
@@ -129,7 +129,7 @@ def test_assert_fs_consistent_hook():
     populate(sim, fs)
     assert_fs_consistent(fs)  # flushes and passes
 
-    ino = next(iter(fs.iter_allocated_inodes()))
+    ino = fs.imap.allocated_inodes()[0]
     fs.imap._addrs[ino] += 1
     with pytest.raises(ConsistencyError) as excinfo:
         assert_fs_consistent(fs)

@@ -8,7 +8,7 @@ from repro.client import RaidFileClient
 from repro.errors import ProtocolError
 from repro.server import Raid2Config, Raid2Server
 from repro.sim import Simulator
-from repro.units import KIB, MIB
+from repro.units import MIB
 
 
 @pytest.fixture

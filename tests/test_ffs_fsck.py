@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.ffs import UpdateInPlaceFS
 from repro.sim import Simulator
 from repro.testing import MemoryDevice

@@ -14,9 +14,7 @@ import pytest
 from repro.analysis import scrub_array
 from repro.client import RaidFileClient
 from repro.lfs import LogStructuredFS
-from repro.net import UltranetLink
 from repro.server import Raid2Config, Raid2Server
-from repro.server.raid2 import make_sparcstation_client
 from repro.sim import Simulator
 from repro.units import KIB, MIB
 

@@ -9,10 +9,10 @@ from repro.errors import (DirectoryNotEmptyFsError, FileExistsFsError,
                           FileNotFoundFsError, IsADirectoryFsError,
                           NoSpaceFsError, NotADirectoryFsError)
 from repro.hw.specs import LFS_SPEC
-from repro.lfs import FileType, LogStructuredFS
+from repro.lfs import FileType, LogStructuredFS, blockmap, cleaner, recovery
 from repro.lfs.ondisk import BLOCK_SIZE, N_DIRECT, ADDRS_PER_BLOCK
 from repro.sim import Simulator
-from repro.testing import MemoryDevice
+from repro.testing import MemoryDevice, assert_fs_consistent
 from repro.units import KIB, MIB
 
 # Small segments make multi-segment behaviour cheap to exercise.
@@ -139,28 +139,42 @@ def test_file_spanning_double_indirect():
     assert sim.run_process(fs.read("/huge", 0, len(payload))) == payload
 
 
-def test_cold_mount_reads_across_every_pointer_level():
-    # Written blocks straddle each pointer boundary (direct/single
-    # indirect, single/double indirect, one double-indirect chunk and
-    # the next), with holes between them and a never-written chunk in
-    # the middle; every range is read on a cold mount (pointer blocks
-    # loaded from the log) and again with them resident.
-    sim, device, fs = make_fs()
-    first_double = N_DIRECT + ADDRS_PER_BLOCK
-    written = [N_DIRECT - 2, N_DIRECT - 1, N_DIRECT, N_DIRECT + 3,
-               first_double - 1, first_double, first_double + 1,
-               first_double + ADDRS_PER_BLOCK - 1,
-               first_double + 3 * ADDRS_PER_BLOCK]
-    content = bytearray((written[-1] + 1) * BLOCK_SIZE)
-    sim.run_process(fs.create("/sparse"))
-    for seed, bidx in enumerate(written):
-        block = pattern(BLOCK_SIZE, seed=seed)
+FIRST_DOUBLE = N_DIRECT + ADDRS_PER_BLOCK
+
+
+def write_blocks(sim, fs, content, bidxs, seed=0):
+    """Write a patterned block at each of ``bidxs`` of ``/sparse``,
+    mirroring it into ``content``."""
+    for offset, bidx in enumerate(bidxs):
+        block = pattern(BLOCK_SIZE, seed=seed + offset)
         content[bidx * BLOCK_SIZE:(bidx + 1) * BLOCK_SIZE] = block
         sim.run_process(fs.write("/sparse", bidx * BLOCK_SIZE, block))
+
+
+def make_sparse_file(sim, fs):
+    """``/sparse``: blocks straddling each pointer boundary (direct/single
+    indirect, single/double indirect, one double-indirect chunk and the
+    next), with holes between them and a never-written chunk in the
+    middle.  Returns its contents."""
+    written = [N_DIRECT - 2, N_DIRECT - 1, N_DIRECT, N_DIRECT + 3,
+               FIRST_DOUBLE - 1, FIRST_DOUBLE, FIRST_DOUBLE + 1,
+               FIRST_DOUBLE + ADDRS_PER_BLOCK - 1,
+               FIRST_DOUBLE + 3 * ADDRS_PER_BLOCK]
+    content = bytearray((written[-1] + 1) * BLOCK_SIZE)
+    sim.run_process(fs.create("/sparse"))
+    write_blocks(sim, fs, content, written)
+    return content
+
+
+def test_cold_mount_reads_across_every_pointer_level():
+    # Every range is read on a cold mount (pointer blocks loaded from
+    # the log) and again with them resident.
+    sim, device, fs = make_fs()
+    content = make_sparse_file(sim, fs)
     sim.run_process(fs.unmount())
-    ranges = [(N_DIRECT - 3, N_DIRECT + 4), (first_double - 2, first_double + 2),
-              (first_double + ADDRS_PER_BLOCK - 2, first_double + ADDRS_PER_BLOCK + 1),
-              (first_double + 2 * ADDRS_PER_BLOCK - 1, written[-1] + 1)]
+    ranges = [(N_DIRECT - 3, N_DIRECT + 4), (FIRST_DOUBLE - 2, FIRST_DOUBLE + 2),
+              (FIRST_DOUBLE + ADDRS_PER_BLOCK - 2, FIRST_DOUBLE + ADDRS_PER_BLOCK + 1),
+              (FIRST_DOUBLE + 2 * ADDRS_PER_BLOCK - 1, len(content) // BLOCK_SIZE)]
     for cold in (True, False):
         fs = LogStructuredFS(sim, device, spec=FAST_SPEC, max_inodes=256)
         sim.run_process(fs.mount())
@@ -172,6 +186,62 @@ def test_cold_mount_reads_across_every_pointer_level():
                                           (hi - lo) * BLOCK_SIZE - 7))
             assert got == bytes(content[lo * BLOCK_SIZE + 7:hi * BLOCK_SIZE])
         sim.run_process(fs.unmount())
+
+
+def assert_liveness_agrees(sim, fs):
+    """Checkpoint, then check that the resident block map (loading what
+    it lacks) and the log-peek block map find every logged block equally
+    live, and that each segment's live blocks sum to its usage entry."""
+    sim.run_process(fs.checkpoint())
+    log = blockmap.LogPeek(fs)
+    for segment, fragments in enumerate(recovery.scan_log(fs)):
+        base = fs.writer.segment_base(segment)
+        live_bytes = 0
+        for fragment in fragments:
+            addr = base + fragment.start_offset
+            for block_id in fragment.summary.entries:
+                addr += 1
+                resident = blockmap.is_live(fs, fs._inodes.get, fs._chunks,
+                                            block_id, addr)
+                if resident is None:
+                    resident = sim.run_process(
+                        cleaner._is_live_timed(fs, block_id, addr))
+                peeked = blockmap.is_live(fs, log.inode, log, block_id, addr)
+                assert resident == peeked, (block_id, addr)
+                live_bytes += BLOCK_SIZE if resident else 0
+        assert live_bytes == fs.usage[segment].live_bytes, segment
+
+
+def test_every_pointer_level_through_crash_fsck_and_clean(monkeypatch):
+    # Roll-forward, the usage rebuild, fsck and the cleaner each walk the
+    # block map of a file reaching past its single-indirect block.
+    sim, device, fs = make_fs()
+    content = make_sparse_file(sim, fs)
+    sim.run_process(fs.checkpoint())
+    write_blocks(sim, fs, content,
+                 [N_DIRECT - 1, N_DIRECT + 3, FIRST_DOUBLE + 1,
+                  FIRST_DOUBLE + 3 * ADDRS_PER_BLOCK], seed=100)
+    sim.run_process(fs.sync())
+    fs.crash()
+
+    rebuilds = []
+    rebuild_usage = recovery.rebuild_usage
+    monkeypatch.setattr(recovery, "rebuild_usage", lambda fs, scans: (
+        rebuilds.append(fs), rebuild_usage(fs, scans)))
+    fs = LogStructuredFS(sim, device, spec=FAST_SPEC, max_inodes=256)
+    sim.run_process(fs.mount())
+    assert rebuilds == [fs]
+    assert sim.run_process(fs.read("/sparse", 0, len(content))) == content
+    assert_fs_consistent(fs)
+    assert_liveness_agrees(sim, fs)
+
+    assert len(sim.run_process(fs.clean(max_segments=1))) == 1
+    assert_fs_consistent(fs)
+    assert_liveness_agrees(sim, fs)
+    sim.run_process(fs.unmount())
+    fs = LogStructuredFS(sim, device, spec=FAST_SPEC, max_inodes=256)
+    sim.run_process(fs.mount())
+    assert sim.run_process(fs.read("/sparse", 0, len(content))) == content
 
 
 def test_read_after_sync_hits_disk():

@@ -8,8 +8,6 @@ concurrent processes never corrupt state or lose writes.
 import dataclasses
 import random
 
-import pytest
-
 from repro.hw.specs import LFS_SPEC
 from repro.lfs import LogStructuredFS
 from repro.sim import Simulator

@@ -11,7 +11,6 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FileSystemError
 from repro.hw.specs import LFS_SPEC
 from repro.lfs import LogStructuredFS
 from repro.sim import Simulator

@@ -3,8 +3,6 @@
 import dataclasses
 import random
 
-import pytest
-
 from repro.hw.specs import LFS_SPEC
 from repro.lfs import LogStructuredFS
 from repro.sim import Simulator

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import (FileExistsFsError, FileNotFoundFsError,
                           FileSystemError)
 from repro.hw.specs import LFS_SPEC
-from repro.lfs import FileType, LogStructuredFS
+from repro.lfs import LogStructuredFS
 from repro.sim import Simulator
 from repro.testing import MemoryDevice
 from repro.units import KIB, MIB

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ReproError
 from repro.hw.xbus_board import XbusConfig
 from repro.net import UltranetLink
 from repro.server import Raid2Config

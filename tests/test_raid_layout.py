@@ -79,15 +79,6 @@ def test_check_range_rejects_misaligned():
         layout.map_data(layout.capacity_bytes, SECTOR_SIZE)
 
 
-def test_rows_of():
-    layout = Raid0Layout(4, UNIT, DISK)
-    row_bytes = 4 * UNIT
-    assert list(layout.rows_of(0, SECTOR_SIZE)) == [0]
-    assert list(layout.rows_of(0, row_bytes)) == [0]
-    assert list(layout.rows_of(0, row_bytes + SECTOR_SIZE)) == [0, 1]
-    assert list(layout.rows_of(row_bytes * 2, row_bytes)) == [2]
-
-
 # ---------------------------------------------------------------------------
 # RAID 5
 # ---------------------------------------------------------------------------
@@ -135,7 +126,7 @@ def test_raid5_logical_offset_of_unit_inverts_mapping():
     layout = Raid5Layout(5, UNIT, DISK)
     for row in (0, 1, 7):
         for k in range(4):
-            offset = layout.logical_offset_of_unit(row, k)
+            offset = (row * layout.data_units_per_row + k) * UNIT
             piece = layout.map_data(offset, UNIT)[0]
             assert piece.row == row
             assert piece.disk == layout.data_disk(row, k)

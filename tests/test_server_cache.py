@@ -6,7 +6,7 @@ import pytest
 
 from repro.server import Raid2Config, Raid2Server
 from repro.sim import Simulator
-from repro.units import KIB, MIB
+from repro.units import KIB
 
 
 @pytest.fixture

@@ -7,8 +7,6 @@ network-client rates of Section 3.4.
 
 import random
 
-import pytest
-
 from repro.net import UltranetLink
 from repro.server import Raid1Server, Raid2Config, Raid2Server
 from repro.server.raid2 import make_sparcstation_client

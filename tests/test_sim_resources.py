@@ -64,9 +64,10 @@ def test_resource_bad_capacity_rejected():
         Resource(sim, capacity=0)
 
 
-def test_resource_queue_length():
+def test_resource_waiters_acquire_when_holder_releases():
     sim = Simulator()
     res = Resource(sim, capacity=1)
+    acquired = []
 
     def holder():
         yield res.acquire()
@@ -75,15 +76,16 @@ def test_resource_queue_length():
 
     def waiter():
         yield res.acquire()
+        acquired.append(sim.now)
         res.release()
 
     sim.process(holder())
     sim.process(waiter())
     sim.process(waiter())
     sim.run(until=1.0)
-    assert res.queue_length == 2
+    assert acquired == []
     sim.run()
-    assert res.queue_length == 0
+    assert acquired == [10.0, 10.0]
 
 
 # ---------------------------------------------------------------------------
